@@ -138,7 +138,7 @@ def _cmd_tmax(args: argparse.Namespace) -> int:
     if args.n == 0:
         print("no anchor decomposition at degree 0 (the empty product)")
         return 0
-    cert = bounds.verify_T_bounds(args.q, args.n, records)[args.n - 1]
+    cert = bounds._certificate(args.q, args.n, records[args.n].tau)
     point = cert.point
     print(
         f"anchor: s={point.s} r={point.r} v={cert.v} u={cert.u} "

@@ -11,8 +11,8 @@ q**n polynomials.
 
 Two oracles are provided for cross-checking the dynamic-programming engine:
 brute_force_T enumerates patterns (optionally pruned by the exponent
-monotonicity that every maximizer satisfies), and raw_polynomial_T walks
-every monic polynomial of each degree, counting divisors by trial division.
+monotonicity that every maximizer satisfies), and raw_polynomial_T counts
+the divisors of every monic polynomial of each degree with a product sieve.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from . import kernels
-from .gf_poly import PolyFq, poly_divides, poly_divrem, poly_from_key
+from .gf_poly import PolyFq, is_prime, poly_divrem, poly_from_key
 from .irreducibles import IrreducibleTable, count_irreducibles, ensure_prime_power
 
 
@@ -347,46 +346,59 @@ class RawDegreeMaximum(NamedTuple):
     maximizers: tuple[PolyFq, ...]
 
 
-def _divisor_count_generic(f: PolyFq) -> int:
-    """Trial-division divisor count, pairing degrees d and deg(f)-d."""
-    n = f.degree
-    q = f.q
-    total = 0
-    for d in range(n // 2 + 1):
-        count = 0
-        for key in range(q**d, 2 * q**d):
-            if poly_divides(poly_from_key(q, key), f):
-                count += 1
-        total += count if 2 * d == n else 2 * count
-    return total
+def _packed(q: int, key: int, width: int) -> int:
+    """The polynomial with this order key evaluated at t = 2**width."""
+    packed = 0
+    shift = 0
+    while key:
+        key, c = divmod(key, q)
+        packed |= c << shift
+        shift += width
+    return packed
 
 
 def raw_polynomial_T(q: int, max_degree: int) -> list[RawDegreeMaximum]:
-    """Slow oracle: walk all q**n monic polynomials of each degree.
+    """Slow oracle: the divisor count of every monic polynomial of each degree.
 
-    Exponential in the degree; meant for cross-checks at small sizes.  For
-    q == 2 the scan runs on the bitmask kernel, elsewhere on generic
-    polynomial arithmetic.
+    A product sieve over the q**n monic polynomials of degree n: every pair
+    of monic g of degree d <= n/2 and h of degree n - d adds one to the
+    count of g*h, or two when 2d < n, because the divisors of degree d and
+    of degree n - d pair off as g and f/g.  Nothing is factored, so the
+    oracle stays independent of the engine and of the irreducible tables.
+
+    Products use Kronecker substitution: evaluated at t = 2**width, g and h
+    hold their coefficients in width-bit fields, and one integer product
+    holds every coefficient of g*h over the integers.  Each coefficient is
+    a sum of at most d + 1 products of two coefficients below q, so it is
+    at most (n//2 + 1) * (q-1)**2 < 2**width and fits in its field, and
+    reducing the fields mod q gives the order key of g*h over F_q.  The
+    q**d low-degree factors are packed once; the high-degree factors are
+    streamed, so memory stays at the q**n counts.  Exponential in the
+    degree; meant for cross-checks at small sizes.
     """
+    if not is_prime(q):
+        raise ValueError(f"modulus must be prime, got {q}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     out = []
     for n in range(max_degree + 1):
-        if q == 2:
-            tau, keys = kernels.max_tau_gf2(n)
-            maximizers = tuple(poly_from_key(2, key) for key in keys)
-        else:
-            ensure_prime_power(q)
-            best = 0
-            arg: list[PolyFq] = []
-            for key in range(q**n, 2 * q**n):
-                f = poly_from_key(q, key)
-                t = _divisor_count_generic(f)
-                if t > best:
-                    best = t
-                    arg = [f]
-                elif t == best:
-                    arg.append(f)
-            tau, maximizers = best, tuple(arg)
+        base = q**n
+        counts = [0] * base
+        width = ((n // 2 + 1) * (q - 1) ** 2).bit_length()
+        mask = (1 << width) - 1
+        shifts = range(n * width, -1, -width)
+        for d in range(n // 2 + 1):
+            weight = 1 if 2 * d == n else 2
+            lows = [_packed(q, key, width) for key in range(q**d, 2 * q**d)]
+            for high_key in range(q ** (n - d), 2 * q ** (n - d)):
+                high = _packed(q, high_key, width)
+                for low in lows:
+                    product = low * high
+                    key = 0
+                    for shift in shifts:
+                        key = key * q + ((product >> shift) & mask) % q
+                    counts[key - base] += weight
+        tau = max(counts)
+        maximizers = tuple(poly_from_key(q, base + i) for i, c in enumerate(counts) if c == tau)
         out.append(RawDegreeMaximum(n, tau, maximizers))
     return out

@@ -24,7 +24,14 @@ import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .divisor_core import ExponentPattern, _canonical_order, pattern, realization_count
+from .divisor_core import (
+    ExponentPattern,
+    _canonical_order,
+    pattern,
+    pattern_degree,
+    pattern_tau,
+    realization_count,
+)
 from .irreducibles import count_irreducibles, ensure_prime_power
 from .superior import iter_spoints, shc_pattern, sshc_family
 
@@ -176,8 +183,19 @@ def _pattern_to_json(p: ExponentPattern) -> dict:
     }
 
 
-def _pattern_from_json(q: int, doc: dict) -> ExponentPattern:
-    return pattern(q, {c["class_degree"]: c["exponents"] for c in doc["classes"]})
+def _pattern_from_json(q: int, degree: int, doc: dict) -> ExponentPattern:
+    """Rebuild a cached pattern of the given degree.
+
+    Every class degree and exponent must be an int in 1..degree: a bool or
+    a float would compare equal to an int and change the printed JSON, and
+    the bound, checked before ExponentPattern is built, keeps a doctored
+    file from asking count_irreducibles for an absurd class degree.
+    """
+    classes = {c["class_degree"]: c["exponents"] for c in doc["classes"]}
+    for k, exponents in classes.items():
+        if not all(type(x) is int and 0 < x <= degree for x in (k, *exponents)):
+            raise ValueError(f"malformed cached class at degree {degree}")
+    return pattern(q, classes)
 
 
 def _record_to_json(record: HCRecord) -> dict:
@@ -190,13 +208,29 @@ def _record_to_json(record: HCRecord) -> dict:
     }
 
 
-def _record_from_json(q: int, doc: dict) -> HCRecord:
+def _record_from_json(q: int, degree: int, doc: dict) -> HCRecord:
+    if doc["degree"] != degree:
+        raise ValueError(f"cached record out of place at degree {degree}")
+    if doc["marker"] not in (MARKER_NONE, MARKER_SSHC, MARKER_SHC):
+        raise ValueError(f"unknown cached marker at degree {degree}")
     return HCRecord(
-        degree=doc["degree"],
+        degree=degree,
         tau=int(doc["tau"]),
-        patterns=tuple(_pattern_from_json(q, p) for p in doc["patterns"]),
+        patterns=tuple(_pattern_from_json(q, degree, p) for p in doc["patterns"]),
         total_polynomials=int(doc["total_polynomials"]),
         marker=doc["marker"],
+    )
+
+
+def _consistent(record: HCRecord) -> bool:
+    """Whether tau, degree and the polynomial count re-derive from the patterns."""
+    return (
+        bool(record.patterns)
+        and all(
+            pattern_degree(p) == record.degree and pattern_tau(p) == record.tau
+            for p in record.patterns
+        )
+        and record.total_polynomials == sum(realization_count(p) for p in record.patterns)
     )
 
 
@@ -206,21 +240,27 @@ def _cache_path(cache_dir: str | Path, q: int, max_degree: int) -> Path:
 
 
 def _load_cache(path: Path, q: int, max_degree: int) -> list[HCRecord] | None:
+    """The cached table, or None when the file is unreadable, stale or
+    malformed, or when a record's tau, degree or polynomial count does not
+    re-derive from its patterns."""
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):
         return None
     if (
-        doc.get("format_version") != CACHE_FORMAT_VERSION
+        not isinstance(doc, dict)
+        or doc.get("format_version") != CACHE_FORMAT_VERSION
         or doc.get("q") != q
         or doc.get("max_degree") != max_degree
+        or not isinstance(doc.get("records"), list)
+        or len(doc["records"]) != max_degree + 1
     ):
         return None
     try:
-        records = [_record_from_json(q, r) for r in doc["records"]]
-    except (KeyError, TypeError, ValueError):
+        records = [_record_from_json(q, n, r) for n, r in enumerate(doc["records"])]
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    if [r.degree for r in records] != list(range(max_degree + 1)):
+    if not all(_consistent(r) for r in records):
         return None
     return records
 
@@ -251,7 +291,8 @@ def hc_table(q: int, max_degree: int, cache_dir: str | Path | None = None) -> li
     """Records for every degree 0..max_degree, markers included.
 
     With cache_dir set, a valid cached table is returned as-is and fresh
-    results are written back atomically; a stale or unreadable cache file
+    results are written back atomically; a stale, unreadable or malformed
+    cache file, or one whose records do not re-derive from their patterns,
     is silently recomputed.
     """
     ensure_prime_power(q)

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import total_ordering
-from math import comb
+from functools import cmp_to_key, total_ordering
 from typing import Iterator, NamedTuple
 
-from . import kernels
 from .divisor_core import ExponentPattern, pattern
 from .irreducibles import count_irreducibles, ensure_prime_power
 
@@ -90,14 +88,22 @@ def enumerate_spoints(count: int) -> list[SPoint]:
 def verify_pair_uniqueness(bound: int) -> tuple[bool, tuple[SPoint, SPoint] | None]:
     """Exhaustively check that x is injective on the grid [1..bound]**2.
 
-    Runs the exact comparator on every pair; returns (True, None) or
-    (False, first tying pair).
+    Sorts the bound**2 points with the exact comparator and compares each
+    neighbouring pair; returns (True, None) or (False, a tying pair).  This
+    is as exhaustive as comparing every pair: spoint_compare is the exact
+    order of the real numbers x, a total preorder, so after the sort all
+    points with equal x sit next to each other (if a <= c <= b in sorted
+    order and x(a) == x(b), then x(c) == x(a) too).  Any tie is therefore a
+    tie between two neighbours.
     """
-    tie = kernels.find_order_tie(bound)
-    if tie is None:
-        return True, None
-    sa, ra, sb, rb = tie
-    return False, (SPoint(sa, ra), SPoint(sb, rb))
+    if bound < 1:
+        raise ValueError(f"bound must be positive, got {bound}")
+    points = [SPoint(s, r) for s in range(1, bound + 1) for r in range(1, bound + 1)]
+    ordered = sorted(points, key=cmp_to_key(spoint_compare))
+    for a, b in zip(ordered, ordered[1:]):
+        if spoint_compare(a, b) == 0:
+            return False, (a, b)
+    return True, None
 
 
 def _exponent_at(s: int, r: int, k: int) -> int:
@@ -202,14 +208,15 @@ def sshc_family(point: SPoint, q: int) -> tuple[SshcEntry, ...]:
     h = shc_pattern(point, q)
     s, r = point.s, point.r
     pi_s = count_irreducibles(q, s)
-    entries = []
-    for v in range(pi_s + 1):
-        scaled = h.tau * r**v
-        if scaled % (r + 1) ** v:
+    tau = h.tau
+    multiplicity = 1
+    entries = [SshcEntry(0, h.degree, tau, multiplicity)]
+    for v in range(1, pi_s + 1):
+        tau, rem = divmod(tau * r, r + 1)
+        if rem:
             raise AssertionError(f"family tau not integral at {point}, v={v}")
-        entries.append(
-            SshcEntry(v, h.degree - v * s, scaled // (r + 1) ** v, comb(pi_s, v))
-        )
+        multiplicity = multiplicity * (pi_s - v + 1) // v
+        entries.append(SshcEntry(v, h.degree - v * s, tau, multiplicity))
     return tuple(entries)
 
 

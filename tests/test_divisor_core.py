@@ -19,7 +19,7 @@ from hcpoly.divisor_core import (
     realization_count,
     realize_polynomials,
 )
-from hcpoly.gf_poly import PolyFq, poly_mul
+from hcpoly.gf_poly import PolyFq, order_key, poly_mul
 
 
 def build_poly(form, tbl):
@@ -171,23 +171,40 @@ def test_brute_force_monotone_maximum(oracle_q2):
     assert all(a < b for a, b in zip(taus, taus[1:]))
 
 
-def test_raw_oracle_agrees_with_patterns(tbl_q2):
-    raw = raw_polynomial_T(2, 10)
-    patterned = brute_force_T(2, 10)
-    for n in range(11):
+def _check_raw_against_patterns(q, max_degree, tbl):
+    raw = raw_polynomial_T(q, max_degree)
+    patterned = brute_force_T(q, max_degree)
+    for n in range(max_degree + 1):
+        assert raw[n].degree == n
         assert raw[n].tau == patterned[n].tau
         assert len(raw[n].maximizers) == sum(
             realization_count(p) for p in patterned[n].patterns
         )
-        found = {factor_pattern(f, tbl_q2) for f in raw[n].maximizers}
+        found = {factor_pattern(f, tbl) for f in raw[n].maximizers}
         assert found == set(patterned[n].patterns)
 
 
-def test_raw_oracle_generic_field():
-    raw = raw_polynomial_T(3, 5)
-    patterned = brute_force_T(3, 5)
-    assert [r.tau for r in raw] == [p.tau for p in patterned]
-    assert raw[0].maximizers == (PolyFq(3, (1,)),)
+def test_raw_oracle_agrees_with_patterns(tbl_q2):
+    _check_raw_against_patterns(2, 10, tbl_q2)
+
+
+def test_raw_oracle_generic_field(tbl_q3):
+    _check_raw_against_patterns(3, 6, tbl_q3)
+    assert raw_polynomial_T(3, 0)[0].maximizers == (PolyFq(3, (1,)),)
+
+
+def test_raw_oracle_frozen_values():
+    raw = raw_polynomial_T(2, 10)
+    assert [r.tau for r in raw] == [1, 2, 4, 6, 9, 12, 18, 24, 32, 40, 50]
+    for r in raw:
+        keys = [order_key(f) for f in r.maximizers]
+        assert keys == sorted(keys)
+        assert all(f.degree == r.degree for f in r.maximizers)
+    assert [order_key(f) for f in raw[5].maximizers] == [36, 40, 54, 60]
+    with pytest.raises(ValueError):
+        raw_polynomial_T(2, -1)
+    with pytest.raises(ValueError):
+        raw_polynomial_T(4, 2)  # a prime power, but PolyFq needs a prime field
 
 
 def test_exponents_monotone():

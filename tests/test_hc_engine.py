@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcpoly.divisor_core import (
     _full_vector,
@@ -25,6 +29,8 @@ _T_Q2 = [
     300, 360, 432, 504, 600, 720, 864, 1008, 1200, 1440, 1728, 2016, 2400,
     2880, 3456, 4032, 4704, 5376, 6272, 7168, 8192, 9408,
 ]
+
+_FRESH_Q2_N3 = hc_table(2, 3)
 
 _SHC_DEGREES_Q2 = {2, 4, 6, 8, 14, 16, 18, 20, 32, 34, 36}
 _SSHC_DEGREES_Q2 = {1, 3, 7, 11, 15, 19, 24, 28, 33}
@@ -164,6 +170,69 @@ def test_truncated_cache_recomputed(tmp_path):
     records = hc_table(2, 8, cache_dir=tmp_path)
     assert len(records) == 9
     assert records[-1].tau == _T_Q2[8]
+
+
+def test_malformed_cache_recomputed(tmp_path):
+    fresh = hc_table(2, 8)
+    path = tmp_path / "hc_table_q2_n8_v1.json"
+    header = {"format_version": 1, "q": 2, "max_degree": 8}
+    for doc in ([], {"records": 5}, {**header, "records": 5}, {**header, "records": [[]] * 9}):
+        path.write_text(json.dumps(doc))
+        assert hc_table(2, 8, cache_dir=tmp_path) == fresh
+        assert json.loads(path.read_text())["q"] == 2
+    path.write_bytes(b"\xff\xfe not utf-8")
+    assert hc_table(2, 8, cache_dir=tmp_path) == fresh
+
+
+def test_edited_cache_recomputed(tmp_path):
+    fresh = hc_table(2, 5)
+    path = tmp_path / "hc_table_q2_n5_v1.json"
+    hc_table(2, 5, cache_dir=tmp_path)
+    text = path.read_text()
+    assert text.count('"tau": "12"') == 1
+    path.write_text(text.replace('"tau": "12"', '"tau": "13"'))
+    assert hc_table(2, 5, cache_dir=tmp_path) == fresh
+    assert path.read_text() == text
+
+    def first_class(record):
+        return record["patterns"][0]["classes"][0]
+
+    edits = [
+        lambda record: record.update(total_polynomials="5"),
+        lambda record: record.update(marker="bogus"),
+        lambda record: record.update(patterns=[]),
+        lambda record: first_class(record)["exponents"].__setitem__(0, 3.0),
+        lambda record: first_class(record).update(class_degree=True),
+        lambda record: first_class(record).update(class_degree=10**6),
+    ]
+    for edit in edits:
+        doc = json.loads(text)
+        edit(doc["records"][5])
+        path.write_text(json.dumps(doc))
+        assert hc_table(2, 5, cache_dir=tmp_path) == fresh
+        assert path.read_text() == text  # rejected and written afresh
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=12,
+)
+_CACHE_TEXT = st.one_of(
+    _JSON.map(json.dumps),
+    _JSON.map(lambda records: json.dumps({"format_version": 1, "q": 2, "max_degree": 3, "records": records})),
+    st.lists(_JSON, min_size=4, max_size=4).map(
+        lambda records: json.dumps({"format_version": 1, "q": 2, "max_degree": 3, "records": records})
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_CACHE_TEXT.map(str.encode), st.binary()))
+def test_arbitrary_cache_file_gives_fresh_table(content):
+    with tempfile.TemporaryDirectory() as cache_dir:
+        (Path(cache_dir) / "hc_table_q2_n3_v1.json").write_bytes(content)
+        assert hc_table(2, 3, cache_dir=cache_dir) == _FRESH_Q2_N3
 
 
 def test_cache_preserves_markers(tmp_path):

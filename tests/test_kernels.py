@@ -1,80 +1,27 @@
-import os
-import subprocess
-import sys
+"""The order-tie scan over the (s, r) grid, against a direct pairwise scan."""
 
 import pytest
 
-from hcpoly import _pykernels, kernels
-
-try:
-    from hcpoly import _speedups
-except ImportError:
-    _speedups = None
-
-# hand-checked divisor maximum over F_2 for degrees 0..10
-_T_Q2_PREFIX = [1, 2, 4, 6, 9, 12, 18, 24, 32, 40, 50]
+from hcpoly.superior import verify_pair_uniqueness
 
 
-def test_backend_reports_something_sane():
-    assert kernels.BACKEND in ("c", "python")
-    if kernels.BACKEND == "python":
-        assert kernels.divisor_count_gf2 is _pykernels.divisor_count_gf2
+def _pairwise_tie(bound):
+    """First exactly tying pair (sa, ra, sb, rb) on [1..bound]**2, or None.
 
-
-def test_divisor_count_examples():
-    for impl in filter(None, (_pykernels, _speedups)):
-        assert impl.divisor_count_gf2(1) == 1  # the constant 1
-        assert impl.divisor_count_gf2(2) == 2  # t
-        assert impl.divisor_count_gf2(4) == 3  # t^2
-        assert impl.divisor_count_gf2(6) == 4  # t(t+1)
-        assert impl.divisor_count_gf2(7) == 2  # irreducible
-        assert impl.divisor_count_gf2(0b101010) == 6  # t(t^2+t+1)^2 -> 2*3
-        with pytest.raises(ValueError):
-            impl.divisor_count_gf2(0)
-        with pytest.raises(ValueError):
-            impl.divisor_count_gf2(-3)
-
-
-def test_divisor_count_backends_agree():
-    for f in range(1, 1 << 10):
-        assert _pykernels.divisor_count_gf2(f) == kernels.divisor_count_gf2(f)
-
-
-def test_max_tau_frozen_values():
-    for impl in filter(None, (_pykernels, _speedups)):
-        for n, expect in enumerate(_T_Q2_PREFIX):
-            best, arg = impl.max_tau_gf2(n)
-            assert best == expect
-            assert arg == sorted(arg)
-            assert all(f.bit_length() == n + 1 for f in arg)
-        assert impl.max_tau_gf2(5) == (12, [36, 40, 54, 60])
-        assert impl.max_tau_gf2(0) == (1, [1])
-        with pytest.raises(ValueError):
-            impl.max_tau_gf2(-1)
+    Points a, b tie when (rb+1)**sa * ra**sb == (ra+1)**sb * rb**sa; every
+    pair is compared, with no ordering argument.
+    """
+    points = [(s, r) for s in range(1, bound + 1) for r in range(1, bound + 1)]
+    for i, (sa, ra) in enumerate(points):
+        for sb, rb in points[i + 1 :]:
+            if (rb + 1) ** sa * ra**sb == (ra + 1) ** sb * rb**sa:
+                return sa, ra, sb, rb
+    return None
 
 
 def test_find_order_tie_agrees_and_is_none():
-    for impl in filter(None, (_pykernels, _speedups)):
-        assert impl.find_order_tie(12) is None
-        with pytest.raises(ValueError):
-            impl.find_order_tie(0)
-    assert _pykernels.find_order_tie(25) is None
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled extension not built")
-def test_compiled_degree_guard():
+    for bound in (1, 12, 25):
+        assert _pairwise_tie(bound) is None
+        assert verify_pair_uniqueness(bound) == (True, None)
     with pytest.raises(ValueError):
-        _speedups.divisor_count_gf2(1 << 63)
-    with pytest.raises(ValueError):
-        _speedups.max_tau_gf2(63)
-
-
-def test_pure_env_override_forces_python_backend():
-    out = subprocess.run(
-        [sys.executable, "-c", "import hcpoly.kernels as k; print(k.BACKEND)"],
-        env={**os.environ, "HCPOLY_PURE": "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
+        verify_pair_uniqueness(0)

@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hcpoly import superior
 from hcpoly.divisor_core import pattern, pattern_degree, pattern_tau
 from hcpoly.superior import (
     SPoint,
@@ -140,6 +143,15 @@ def test_sshc_family_structure():
         (2, 8, 32, 1),
     ]
     assert sum(e.multiplicity for e in fam) == 2 ** 2
+    # the stepwise family against its closed form, over a 31-member class
+    for point, q in ((SPoint(1, 2), 31), (SPoint(2, 1), 7)):
+        h = shc_pattern(point, q)
+        fam = sshc_family(point, q)
+        pi_s = len(fam) - 1
+        r = point.r
+        assert [(e.tau, e.multiplicity) for e in fam] == [
+            (h.tau * r**v // (r + 1) ** v, comb(pi_s, v)) for v in range(pi_s + 1)
+        ]
 
 
 def test_family_telescopes_to_predecessor():
@@ -186,6 +198,17 @@ def test_verify_pair_uniqueness_small():
     assert witness is None
     with pytest.raises(ValueError):
         verify_pair_uniqueness(0)
+
+
+def test_verify_pair_uniqueness_reports_tie(monkeypatch):
+    def compare_s_only(a, b):
+        return (a.s > b.s) - (a.s < b.s)
+
+    monkeypatch.setattr(superior, "spoint_compare", compare_s_only)
+    ok, witness = verify_pair_uniqueness(4)
+    assert not ok
+    a, b = witness
+    assert a != b and a.s == b.s
 
 
 def test_iter_spoints_prefix():
