@@ -16,7 +16,7 @@ import sys
 from math import log
 
 from . import bounds, divisor_core, hc_engine, superior
-from .gf_poly import format_poly, order_key
+from .gf_poly import format_poly, is_prime, order_key
 from .irreducibles import count_irreducibles, ensure_prime_power, enumerate_irreducibles
 
 
@@ -244,10 +244,10 @@ def _run_verify_checks(q: int, max_degree: int) -> tuple[list[tuple[str, bool, s
         )
     )
 
-    if q == 2:
-        raw_limit = min(max_degree, 14)
-        raw = divisor_core.raw_polynomial_T(2, raw_limit)
-        tbl = enumerate_irreducibles(2, max(1, raw_limit))
+    if is_prime(q):
+        raw_limit = max(n for n in range(min(max_degree, 14) + 1) if q**n <= 2**14)
+        raw = divisor_core.raw_polynomial_T(q, raw_limit)
+        tbl = enumerate_irreducibles(q, max(1, raw_limit))
         bad_raw = ""
         for n in range(raw_limit + 1):
             record = records[n]
@@ -261,7 +261,7 @@ def _run_verify_checks(q: int, max_degree: int) -> tuple[list[tuple[str, bool, s
             if found != set(record.patterns):
                 bad_raw = f"pattern mismatch at degree {n}"
                 break
-        checks.append((f"raw-polynomial-oracle q=2 n<={raw_limit}", not bad_raw, bad_raw))
+        checks.append((f"raw-polynomial-oracle q={q} n<={raw_limit}", not bad_raw, bad_raw))
 
     increasing = all(
         records[n].tau > records[n - 1].tau for n in range(1, max_degree + 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .gf_poly import PolyFq, is_prime, poly_divrem, poly_from_key
+from .gf_poly import PolyFq, is_prime, poly_divrem, poly_from_key, product_keys
 from .irreducibles import IrreducibleTable, count_irreducibles, ensure_prime_power
 
 
@@ -346,17 +346,6 @@ class RawDegreeMaximum(NamedTuple):
     maximizers: tuple[PolyFq, ...]
 
 
-def _packed(q: int, key: int, width: int) -> int:
-    """The polynomial with this order key evaluated at t = 2**width."""
-    packed = 0
-    shift = 0
-    while key:
-        key, c = divmod(key, q)
-        packed |= c << shift
-        shift += width
-    return packed
-
-
 def raw_polynomial_T(q: int, max_degree: int) -> list[RawDegreeMaximum]:
     """Slow oracle: the divisor count of every monic polynomial of each degree.
 
@@ -366,14 +355,8 @@ def raw_polynomial_T(q: int, max_degree: int) -> list[RawDegreeMaximum]:
     of degree n - d pair off as g and f/g.  Nothing is factored, so the
     oracle stays independent of the engine and of the irreducible tables.
 
-    Products use Kronecker substitution: evaluated at t = 2**width, g and h
-    hold their coefficients in width-bit fields, and one integer product
-    holds every coefficient of g*h over the integers.  Each coefficient is
-    a sum of at most d + 1 products of two coefficients below q, so it is
-    at most (n//2 + 1) * (q-1)**2 < 2**width and fits in its field, and
-    reducing the fields mod q gives the order key of g*h over F_q.  The
-    q**d low-degree factors are packed once; the high-degree factors are
-    streamed, so memory stays at the q**n counts.  Exponential in the
+    Products come from gf_poly.product_keys, which streams the high-degree
+    factors, so memory stays at the q**n counts.  Exponential in the
     degree; meant for cross-checks at small sizes.
     """
     if not is_prime(q):
@@ -384,20 +367,10 @@ def raw_polynomial_T(q: int, max_degree: int) -> list[RawDegreeMaximum]:
     for n in range(max_degree + 1):
         base = q**n
         counts = [0] * base
-        width = ((n // 2 + 1) * (q - 1) ** 2).bit_length()
-        mask = (1 << width) - 1
-        shifts = range(n * width, -1, -width)
         for d in range(n // 2 + 1):
             weight = 1 if 2 * d == n else 2
-            lows = [_packed(q, key, width) for key in range(q**d, 2 * q**d)]
-            for high_key in range(q ** (n - d), 2 * q ** (n - d)):
-                high = _packed(q, high_key, width)
-                for low in lows:
-                    product = low * high
-                    key = 0
-                    for shift in shifts:
-                        key = key * q + ((product >> shift) & mask) % q
-                    counts[key - base] += weight
+            for key in product_keys(q, n, d, range(q**d, 2 * q**d)):
+                counts[key - base] += weight
         tau = max(counts)
         maximizers = tuple(poly_from_key(q, base + i) for i, c in enumerate(counts) if c == tau)
         out.append(RawDegreeMaximum(n, tau, maximizers))

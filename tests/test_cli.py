@@ -270,6 +270,7 @@ def test_verify_json_q3(capsys):
     assert names == [
         "pattern-oracle q=3 n<=6",
         "unpruned-oracle q=3 n<=6",
+        "raw-polynomial-oracle q=3 n<=6",
         "divisor-maximum strictly increasing",
         "maximizer exponent monotonicity",
     ]

@@ -98,6 +98,17 @@ def test_q3_against_oracle(records_q3):
         assert set(record.patterns) == set(o.patterns)
 
 
+@pytest.mark.parametrize("q,max_degree", [(2, 24), (3, 20), (4, 16), (5, 16)])
+def test_engine_matches_unpruned_oracle(q, max_degree):
+    # the unpruned walk visits every pattern, so it does not lean on the
+    # exponent monotonicity that the engine and the pruned walk share
+    oracle = brute_force_T(q, max_degree, prune=False)
+    records = hc_table(q, max_degree)
+    assert [r.tau for r in records] == [o.tau for o in oracle]
+    for record, o in zip(records, oracle):
+        assert set(record.patterns) == set(o.patterns)
+
+
 def test_pattern_order_is_canonical(records_q2):
     # descending lexicographic on the zero-padded full exponent vectors
     record = records_q2[39]
@@ -200,6 +211,8 @@ def test_edited_cache_recomputed(tmp_path):
     edits = [
         lambda record: record.update(total_polynomials="5"),
         lambda record: record.update(marker="bogus"),
+        lambda record: record.update(marker="SHC"),
+        lambda record: record.update(marker="SSHC"),
         lambda record: record.update(patterns=[]),
         lambda record: first_class(record)["exponents"].__setitem__(0, 3.0),
         lambda record: first_class(record).update(class_degree=True),

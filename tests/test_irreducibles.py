@@ -75,7 +75,7 @@ def test_table_layout(tbl_q2):
         tbl_q2.primes_of_degree(9)
 
 
-@pytest.mark.parametrize("q,depth", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("q,depth", [(2, 6), (3, 4), (5, 3), (7, 3)])
 def test_enumeration_against_divisibility_oracle(q, depth):
     # irreducible <=> no monic divisor of degree 1..deg-1; checked by raw scan
     from hcpoly.gf_poly import poly_divides
