@@ -13,10 +13,11 @@ import argparse
 import json
 import os
 import sys
+from functools import reduce
 from math import log
 
 from . import bounds, divisor_core, hc_engine, superior
-from .gf_poly import format_poly, is_prime, order_key
+from .gf_poly import PolyFq, format_poly, is_prime, order_key, poly_mul
 from .irreducibles import count_irreducibles, ensure_prime_power, enumerate_irreducibles
 
 
@@ -95,16 +96,18 @@ def _cache_dir(args: argparse.Namespace) -> str | None:
     return os.environ.get("HCPOLY_CACHE") or args.cache
 
 
+def _top_class_degree(records: list[hc_engine.HCRecord]) -> int:
+    """Highest irreducible degree used by any pattern of these records."""
+    return max((k for r in records for p in r.patterns for k, _ in p.classes), default=0)
+
+
 def _cmd_hc_table(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_degree, "max-degree")
     records = hc_engine.hc_table(args.q, args.max_degree, cache_dir=_cache_dir(args))
     need_rows = args.format == "table" or args.explicit
     tbl = None
     if need_rows:
-        top_class = max(
-            (k for r in records for p in r.patterns for k, _ in p.classes), default=0
-        )
-        tbl = enumerate_irreducibles(args.q, top_class)
+        tbl = enumerate_irreducibles(args.q, _top_class_degree(records))
     if args.format == "json":
         docs = []
         for record in records:
@@ -247,7 +250,8 @@ def _run_verify_checks(q: int, max_degree: int) -> tuple[list[tuple[str, bool, s
     if is_prime(q):
         raw_limit = max(n for n in range(min(max_degree, 14) + 1) if q**n <= 2**14)
         raw = divisor_core.raw_polynomial_T(q, raw_limit)
-        tbl = enumerate_irreducibles(q, max(1, raw_limit))
+        tbl = enumerate_irreducibles(q, _top_class_degree(records[: raw_limit + 1]))
+        one = PolyFq(q, (1,))
         bad_raw = ""
         for n in range(raw_limit + 1):
             record = records[n]
@@ -257,8 +261,15 @@ def _run_verify_checks(q: int, max_degree: int) -> tuple[list[tuple[str, bool, s
             if len(raw[n].maximizers) != record.total_polynomials:
                 bad_raw = f"maximizer count mismatch at degree {n}"
                 break
-            found = {divisor_core.factor_pattern(f, tbl) for f in raw[n].maximizers}
-            if found != set(record.patterns):
+            # total_polynomials counts the realizations, so the check above
+            # bounds them by q**n; multiplied out, they must be exactly the
+            # raw maximizers
+            realized = {
+                reduce(poly_mul, (tbl.prime(i) for i, e in form for _ in range(e)), one)
+                for p in record.patterns
+                for form in divisor_core.realize_polynomials(p, tbl)
+            }
+            if realized != set(raw[n].maximizers):
                 bad_raw = f"pattern mismatch at degree {n}"
                 break
         checks.append((f"raw-polynomial-oracle q={q} n<={raw_limit}", not bad_raw, bad_raw))

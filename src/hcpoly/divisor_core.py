@@ -156,27 +156,28 @@ def realize_polynomials(
         raise ValueError(
             f"table depth {tbl.max_degree} insufficient for class degree {degrees[-1]}"
         )
-    per_class: list[tuple[int, list[tuple[int, ...]]]] = []
+    # each assignment is kept as its (prime index, exponent) pairs with a
+    # nonzero exponent, shared by every form that uses it: a class can have
+    # many more irreducibles than used slots
+    per_class: list[list[tuple[tuple[int, int], ...]]] = []
     for class_degree in degrees:
+        base = tbl.degree_offsets[class_degree] + 1
         vec = _full_vector(p, class_degree)
-        per_class.append((class_degree, list(_multiset_perms_desc(vec))))
+        per_class.append(
+            [
+                tuple((base + slot, e) for slot, e in enumerate(perm) if e)
+                for perm in _multiset_perms_desc(vec)
+            ]
+        )
     forms: list[tuple[tuple[int, int], ...]] = []
-    offsets = tbl.degree_offsets
 
-    def descend(level: int, chosen: list[tuple[int, tuple[int, ...]]]) -> None:
+    def descend(level: int, chosen: list[tuple[tuple[int, int], ...]]) -> None:
         # highest class varies slowest: recurse from the back of per_class
         if level < 0:
-            form = []
-            for class_degree, assignment in sorted(chosen):
-                base = offsets[class_degree]
-                for slot, exponent in enumerate(assignment):
-                    if exponent:
-                        form.append((base + slot + 1, exponent))
-            forms.append(tuple(sorted(form)))
+            forms.append(tuple(sorted(pair for assignment in chosen for pair in assignment)))
             return
-        class_degree, assignments = per_class[level]
-        for assignment in assignments:
-            chosen.append((class_degree, assignment))
+        for assignment in per_class[level]:
+            chosen.append(assignment)
             descend(level - 1, chosen)
             chosen.pop()
 

@@ -19,6 +19,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -162,6 +163,32 @@ def _packed(q: int, key: int, width: int) -> int:
     return packed
 
 
+_TABLE_BITS = 12
+
+
+@lru_cache(maxsize=None)
+def _digit_table(q: int, width: int) -> list[int] | None:
+    """Chunk value -> base-q number of its width-bit fields, each reduced mod q.
+
+    A chunk holds fields = _TABLE_BITS // width whole fields, lowest field
+    lowest, so the table has 2**(fields*width) <= 2**_TABLE_BITS entries.
+    None when fewer than two fields fit: a table would then save nothing
+    over reducing each field by itself.  product_keys asks only for widths
+    that hold (q-1)**2, so tables exist for width <= 6 and q <= 7 alone,
+    and the cache holds at most 13 of them.
+    """
+    fields = _TABLE_BITS // width
+    if fields < 2:
+        return None
+    table = [0]
+    place = 1
+    for _ in range(fields):
+        # prepend one field above the chunks tabulated so far
+        table = [(top % q) * place + low for top in range(1 << width) for low in table]
+        place *= q
+    return table
+
+
 def product_keys(q: int, n: int, d: int, low_keys: Iterable[int]) -> Iterator[int]:
     """Order keys of g*h for each monic g of degree d <= n/2 keyed in low_keys
     and each monic h of degree n - d, h varying slowest.
@@ -171,22 +198,54 @@ def product_keys(q: int, n: int, d: int, low_keys: Iterable[int]) -> Iterator[in
     holds every coefficient of g*h over the integers.  Each coefficient is
     a sum of at most d + 1 products of two coefficients below q, so it is
     at most (n//2 + 1) * (q-1)**2 < 2**width and fits in its field, and
-    reducing the fields mod q gives the order key of g*h over F_q.  The low
-    factors are packed once; the high factors are streamed, so memory stays
-    at the low factors.
+    reducing the fields mod q gives the order key of g*h over F_q.
+
+    The fields are read in chunks of F = 12 // width whole fields, through
+    a cached table (_digit_table) that maps a chunk to sum_j (field_j mod q)
+    * q**j.  Chunk c holds the fields of degrees c*F .. c*F + F - 1, so the
+    Horner sum of the chunk values in radix q**F equals the per-field
+    Horner sum in radix q, which is the order key.  The top chunk may run
+    past degree n; those fields are zero, because g*h has degree n, and
+    add nothing.  A table has at most 2**12 entries; when fewer than two
+    fields fit in that budget (large q or wide fields), each field is
+    reduced by itself with % q.
+
+    The low factors are packed once.  The high factors are streamed: h of
+    degree m = n - d splits into its top base-q digits (degrees m//2..m)
+    and its bottom m//2 digits, the q**(m - m//2) tops are packed as they
+    come and the q**(m//2) bottoms once up front, and each packed h is the
+    OR of a top and a bottom.  Tops vary slowest, so h runs in key order,
+    and memory stays at the low factors and the bottoms.
     """
     width = ((n // 2 + 1) * (q - 1) ** 2).bit_length()
-    mask = (1 << width) - 1
-    shifts = range(n * width, -1, -width)
+    table = _digit_table(q, width)
+    fields = 1 if table is None else _TABLE_BITS // width
+    step = fields * width
+    shifts = range(n // fields * step, -1, -step)
+    mask = (1 << step) - 1
+    radix = q**fields
     lows = [_packed(q, key, width) for key in low_keys]
-    for high_key in range(q ** (n - d), 2 * q ** (n - d)):
-        high = _packed(q, high_key, width)
-        for low in lows:
-            product = low * high
-            key = 0
-            for shift in shifts:
-                key = key * q + ((product >> shift) & mask) % q
-            yield key
+    m = n - d
+    split = m // 2
+    bottoms = [_packed(q, key, width) for key in range(q**split)]
+    for top_key in range(q ** (m - split), 2 * q ** (m - split)):
+        top = _packed(q, top_key, width) << (split * width)
+        for bottom in bottoms:
+            high = top | bottom
+            if table is None:
+                for low in lows:
+                    product = low * high
+                    key = 0
+                    for shift in shifts:
+                        key = key * radix + ((product >> shift) & mask) % q
+                    yield key
+            else:
+                for low in lows:
+                    product = low * high
+                    key = 0
+                    for shift in shifts:
+                        key = key * radix + table[(product >> shift) & mask]
+                    yield key
 
 
 def format_poly(f: PolyFq) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hcpoly import divisor_core, hc_engine
 from hcpoly.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -280,6 +282,40 @@ def test_verify_json_q3(capsys):
         assert isinstance(m["tau"], str) and isinstance(m["realizations"], str)
         for c in m["patterns"]:
             assert set(c) == {"class_degree", "exponents"}
+
+
+def test_verify_json_q127(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "127", "--max-degree", "2", "--format", "json")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["raw-polynomial-oracle q=127 n<=2"] == {
+        "name": "raw-polynomial-oracle q=127 n<=2",
+        "ok": True,
+        "detail": "",
+    }
+
+
+def test_verify_fails_on_wrong_pattern_set(capsys, monkeypatch):
+    # degree 3 over F_2 is maximized by t^2(t+1) and t(t+1)^2, pattern {1: (2, 1)};
+    # {1: (3,)} has the same number of realizations (t^3 and (t+1)^3)
+    real_table = hc_engine.hc_table
+
+    def doctored(q, max_degree, cache_dir=None):
+        records = real_table(q, max_degree, cache_dir)
+        wrong = divisor_core.pattern(q, {1: [3]})
+        records[3] = dataclasses.replace(records[3], patterns=(wrong,))
+        return records
+
+    monkeypatch.setattr(hc_engine, "hc_table", doctored)
+    code, out, err = run(capsys, "verify", "--q", "2", "--max-degree", "6", "--format", "json")
+    assert code == 2
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["raw-polynomial-oracle q=2 n<=6"] == {
+        "name": "raw-polynomial-oracle q=2 n<=6",
+        "ok": False,
+        "detail": "pattern mismatch at degree 3",
+    }
+    assert err.startswith("violation: ")
 
 
 def test_module_entry_point():

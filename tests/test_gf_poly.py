@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from hcpoly.gf_poly import (
     PolyFq,
+    _digit_table,
     _mul_raw,
     format_poly,
     format_poly_digits,
@@ -14,6 +15,7 @@ from hcpoly.gf_poly import (
     poly_divrem,
     poly_from_key,
     poly_mul,
+    product_keys,
 )
 
 
@@ -148,3 +150,57 @@ def test_parse_rejects_junk():
 def test_format_digits_needs_small_q():
     with pytest.raises(ValueError):
         format_poly_digits(PolyFq(11, (1, 1)))
+
+
+def _reference_product_keys(q, n, d, low_keys):
+    """product_keys by poly_mul and order_key, one product at a time."""
+    lows = [poly_from_key(q, key) for key in low_keys]
+    return [
+        order_key(poly_mul(low, high))
+        for high in all_monic(q, n - d)
+        for low in lows
+    ]
+
+
+@pytest.mark.parametrize(
+    "q, n, d",
+    [
+        (2, 0, 0),
+        (2, 1, 0),
+        (2, 9, 0),
+        (2, 9, 3),
+        (2, 10, 5),
+        (2, 13, 6),
+        (2, 14, 7),
+        (3, 8, 0),
+        (3, 8, 3),
+        (3, 8, 4),
+        (11, 4, 1),
+        (11, 4, 2),
+        (127, 2, 0),
+        (127, 2, 1),
+    ],
+)
+def test_product_keys_match_reference(q, n, d):
+    width = ((n // 2 + 1) * (q - 1) ** 2).bit_length()
+    # q=2 and q=3 read their fields through a digit table; q=11 and q=127
+    # have fields too wide for two to share a table, and reduce each one
+    assert (_digit_table(q, width) is not None) == (q <= 3)
+    # the reference fixes the yield order too: h slowest, in key order, and
+    # g in the order of low_keys
+    every_low = range(q**d, 2 * q**d)
+    assert list(product_keys(q, n, d, every_low)) == _reference_product_keys(q, n, d, every_low)
+    # a subset of low keys, as the irreducible sieve passes, here in reverse
+    some_low = [key for key in reversed(every_low) if key % 3 != 1]
+    assert list(product_keys(q, n, d, some_low)) == _reference_product_keys(q, n, d, some_low)
+
+
+def test_digit_tables_stay_small():
+    for q in (2, 3, 5, 7, 11, 127):
+        for width in range(1, 33):
+            table = _digit_table(q, width)
+            if table is not None:
+                assert len(table) <= 2**12
+                assert len(table) == 2 ** (12 // width * width)
+    assert _digit_table(2, 4) is not None
+    assert _digit_table(2, 7) is None
