@@ -1,19 +1,23 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation error (single-line diagnostic on
-stderr), 2 a verify/certify suite found a violation (first counterexample
-reported).  All normal output goes to stdout; JSON output is a single
-document ending in one newline, with big integers as decimal strings and
-keys sorted, so re-serializing a parsed document is byte-identical.
+Exit codes: 0 success, 1 validation error, exhausted memory or recursion
+depth, or an interrupt (single-line diagnostic on stderr), 2 a
+verify/certify suite found a violation (first counterexample reported).
+A stdout closed by its reader ends the output quietly with exit code 1.
+All normal output goes to stdout; JSON output is a single document ending
+in one newline, with big integers as decimal strings and keys sorted, in
+the layout of json.dumps(doc, indent=2, sort_keys=True), so
+re-serializing a parsed document is byte-identical.  _emit_json writes it
+as a stream, so a long listing is never held whole in memory.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import reduce
+from json.encoder import encode_basestring_ascii
 from math import log
 
 from . import bounds, divisor_core, hc_engine, superior
@@ -21,8 +25,81 @@ from .gf_poly import PolyFq, format_poly, is_prime, order_key, poly_mul
 from .irreducibles import count_irreducibles, ensure_prime_power, enumerate_irreducibles
 
 
-def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+_INF = float("inf")
+_FLUSH_PARTS = 4096
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _emit_json(doc) -> None:
+    """Write doc to stdout as exactly the bytes of
+    json.dumps(doc, indent=2, sort_keys=True) + "\n", without holding the
+    whole document.
+
+    The layout is json's: every array element and object member on a line
+    of its own, indented two spaces per level; object keys sorted and
+    escaped by encode_basestring_ascii, the C function json uses; empty
+    containers as [] and {}; None, bools, ints and floats as json spells
+    them, NaN and the infinities included. A dict (with str keys) is an
+    object, a str is a string, and any other iterable is an array, so a
+    generator in array position streams its items. The parts are written
+    out whenever more than _FLUSH_PARTS of them wait after an array
+    element.
+    """
+    parts: list[str] = []
+    append = parts.append
+    write = sys.stdout.write
+
+    def value(x, indent: str) -> None:
+        encode = _LEAF.get(type(x))
+        if encode is not None:
+            append(encode(x))
+        elif isinstance(x, dict):
+            if not x:
+                append("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for key in sorted(x):
+                append(sep + encode_basestring_ascii(key) + ": ")
+                value(x[key], inner)
+                sep = "," + inner
+            append(indent + "}")
+        elif type(x) in (list, tuple) and {*map(type, x)} == {int}:
+            inner = indent + "  "
+            append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + indent + "]")
+        else:
+            inner = indent + "  "
+            first = sep = "[" + inner
+            for item in x:
+                append(sep)
+                value(item, inner)
+                sep = "," + inner
+                if len(parts) > _FLUSH_PARTS:
+                    write("".join(parts))
+                    parts.clear()
+            append("[]" if sep is first else indent + "]")
+
+    value(doc, "\n")
+    append("\n")
+    write("".join(parts))
 
 
 def _require_nonnegative(value: int, name: str) -> None:
@@ -39,7 +116,7 @@ def _cmd_irreducibles(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_degree, "max-degree")
     tbl = enumerate_irreducibles(args.q, args.max_degree)
     if args.format == "json":
-        rows = [
+        rows = (
             {
                 "index": i,
                 "degree": p.degree,
@@ -47,7 +124,7 @@ def _cmd_irreducibles(args: argparse.Namespace) -> int:
                 "key": str(order_key(p)),
             }
             for i, p in enumerate(tbl.primes, 1)
-        ]
+        )
         _emit_json({"q": args.q, "max_degree": args.max_degree, "rows": rows})
     else:
         print(f"i\tP_i(t)\tdeg\tP_i({args.q})")
@@ -381,14 +458,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FATAL = {
+    MemoryError: "out of memory",
+    RecursionError: "maximum recursion depth exceeded",
+    KeyboardInterrupt: "interrupted",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         ensure_prime_power(args.q)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
     except (ValueError, ZeroDivisionError) as exc:
         print(f"hcpoly: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone: the output ends here, and with stdout on
+        # devnull the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except tuple(_FATAL) as exc:
+        print(f"hcpoly: {_FATAL[type(exc)]}", file=sys.stderr)
         return 1
 
 

@@ -12,8 +12,9 @@ pattern.  All arithmetic is exact.
 
 Records carry the markers of the distinguished families: SHC for degrees
 holding a superior maximizer, SSHC for the strict half-step members in
-between.  A versioned JSON cache (big integers as decimal strings) makes
-repeated table requests cheap; writes are atomic via os.replace.
+between.  A versioned JSON cache, one compact line per file (big integers
+as decimal strings), makes repeated table requests cheap; writes are
+atomic via os.replace.
 """
 
 from __future__ import annotations
@@ -287,9 +288,9 @@ def _store_cache(path: Path, q: int, max_degree: int, records: list[HCRecord]) -
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
+        # one compact line: json.dump to a file never takes the C encoder
         with os.fdopen(fd, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(json.dumps(doc, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         try:

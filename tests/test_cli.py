@@ -1,13 +1,21 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcpoly import divisor_core, hc_engine
+from hcpoly import cli, divisor_core, hc_engine
 from hcpoly.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -326,3 +334,135 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout == "2\n"
+
+
+# (plain JSON value, the same value with some arrays as tuples or generators)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x9F)),
+).map(lambda x: (x, x))
+
+
+def _arrays(items):
+    plain = [p for p, _ in items]
+    variant = [v for _, v in items]
+    return st.sampled_from([list, tuple, lambda v: (x for x in v)]).map(
+        lambda kind: (plain, kind(variant))
+    )
+
+
+def _objects(members):
+    return ({k: p for k, (p, _) in members.items()}, {k: v for k, (_, v) in members.items()})
+
+
+_KEYS = st.text() | st.text(st.characters(max_codepoint=0x9F))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner).flatmap(_arrays) | st.dictionaries(_KEYS, inner).map(_objects),
+    max_leaves=20,
+)
+
+
+def _written(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(doc)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_VALUES)
+def test_emit_json_matches_json_dumps(pair):
+    plain, variant = pair
+    assert _written(variant) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_json_streams_long_arrays(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    cli._emit_json({"rows": ({"i": i} for i in range(5000))})
+    text = json.dumps({"rows": [{"i": i} for i in range(5000)]}, indent=2, sort_keys=True) + "\n"
+    assert "".join(writes) == text
+    assert len(writes) > 2 and max(map(len, writes)) < len(text) / 2
+
+
+def _traced_peak(*argv) -> int:
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_irreducibles_json_memory_like_text():
+    # 5,151 rows; holding the JSON document in memory peaks at over 5x the
+    # text listing, which itself holds the irreducibles
+    text = _traced_peak("irreducibles", "--q", "101", "--max-degree", "2")
+    streamed = _traced_peak("irreducibles", "--format", "json", "--q", "101", "--max-degree", "2")
+    assert streamed <= 1.5 * text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hc-table", "--q", "2", "--max-degree", "160"],
+        ["irreducibles", "--format", "json", "--q", "101", "--max-degree", "2"],
+    ],
+)
+def test_closed_stdout_ends_quietly(argv):
+    # either output is several times larger than a pipe buffer, so the
+    # writer is still writing when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hcpoly.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception" not in err
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError, KeyboardInterrupt])
+def test_fatal_errors_one_line(capsys, monkeypatch, error):
+    def fail(args):
+        raise error()
+
+    monkeypatch.setattr(cli, "_cmd_pi", fail)
+    code, out, err = run(capsys, "pi", "--q", "2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("hcpoly: ") and err.count("\n") == 1
+
+
+# sha256 of stdout, pinned from the stdlib-encoder release of the CLI
+_DIGESTS = {
+    "hc-table --format json --q 2 --max-degree 60":
+        "16645e635746a673c8cbfcc1dd8616da9532074d2102f3e5f2052d94e0a9c54c",
+    "hc-table --format json --q 3 --max-degree 30 --explicit":
+        "1628a00904fa25c64e5bb26942ab48c0352a98c88018c8f718d1aea47d6a1921",
+    "certify --q 31 --max-degree 40":
+        "168382b743dc3bade9d65bfda4cc4b8f2c192516c334ef0a385cd5f7089f73f6",
+    "verify --q 3 --max-degree 6 --format json":
+        "d2a0753f98b672f03385cf3779b773cef3b00dd154dc9189df0420f4bc7f1487",
+    "irreducibles --format json --q 5 --max-degree 4":
+        "0b341428bad49c2c2101d7ccd069368e0ed5876a4c65c0869cb116ff50e2fe3c",
+    "hc-table --q 5 --max-degree 12":
+        "0727d5ccfb096692467cf739d769b1a82cc15d0b670d91ec89c7e8bf23f73d2b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DIGESTS))
+def test_output_digest(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[command]

@@ -15,6 +15,7 @@ from hcpoly.divisor_core import (
     pattern_tau,
     realization_count,
 )
+from hcpoly.cli import main
 from hcpoly.hc_engine import (
     MARKER_NONE,
     MARKER_SHC,
@@ -254,6 +255,46 @@ def test_cache_preserves_markers(tmp_path):
     assert [r.marker for r in cached] == [r.marker for r in fresh]
     assert fresh[14].marker == MARKER_SHC
     assert fresh[11].marker == MARKER_SSHC
+
+
+def test_cache_file_is_one_line(tmp_path):
+    hc_table(3, 10, cache_dir=tmp_path)
+    text = (tmp_path / "hc_table_q3_n10_v1.json").read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def _indent_cache_file(path):
+    """Rewrite a cache file in the indented layout of earlier releases."""
+    text = json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n"
+    path.write_text(text)
+    return text
+
+
+def test_indented_cache_file_is_a_hit(tmp_path):
+    fresh = hc_table(2, 20)
+    hc_table(2, 20, cache_dir=tmp_path)
+    path = tmp_path / "hc_table_q2_n20_v1.json"
+    indented = _indent_cache_file(path)
+    assert indented.count("\n") > 100
+    assert hc_table(2, 20, cache_dir=tmp_path) == fresh
+    assert path.read_text() == indented  # read as it is, not written afresh
+
+
+@pytest.mark.parametrize("indented", [False, True])
+def test_cli_cache_hit_prints_uncached_bytes(tmp_path, capsys, indented):
+    argv = ["hc-table", "--format", "json", "--q", "3", "--max-degree", "12"]
+    assert main(argv) == 0
+    uncached = capsys.readouterr().out
+    assert main(argv + ["--cache", str(tmp_path)]) == 0  # a miss
+    assert capsys.readouterr().out == uncached
+    path = tmp_path / "hc_table_q3_n12_v1.json"
+    if indented:
+        _indent_cache_file(path)
+    before = path.read_text()
+    assert main(argv + ["--cache", str(tmp_path)]) == 0  # a hit
+    assert capsys.readouterr().out == uncached
+    assert path.read_text() == before
 
 
 def test_q4_and_q5_smoke():
