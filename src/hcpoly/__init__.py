@@ -40,12 +40,9 @@ from .superior import (
     enumerate_spoints,
     exponent_at,
     iter_spoints,
-    phi_maximizers,
     shc_pattern,
     spoint_compare,
-    sshc_certificate,
     sshc_family,
-    sshc_pattern,
     verify_pair_uniqueness,
 )
 
@@ -84,7 +81,6 @@ __all__ = [
     "pattern_degree",
     "pattern_tau",
     "pattern_union",
-    "phi_maximizers",
     "poly_divrem",
     "poly_mul",
     "raw_polynomial_T",
@@ -92,9 +88,7 @@ __all__ = [
     "realize_polynomials",
     "shc_pattern",
     "spoint_compare",
-    "sshc_certificate",
     "sshc_family",
-    "sshc_pattern",
     "verify_T_bounds",
     "verify_pair_uniqueness",
 ]

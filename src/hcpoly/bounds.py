@@ -11,16 +11,21 @@ with a_u the anchor's exponent on degree-u irreducibles, and eps(N) = 0
 when u = 0 (the degree lands exactly on a family member).  Both sides
 become big-integer comparisons after exponentiating, which is what the
 certificates check; no floats are involved in any verdict.
+
+The anchors come from superior.families, walked once up to the largest
+degree certified: the anchor of N is a bisection on the superior degrees
+of that list, and its family member is read from the list, not rebuilt.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import log
 
 from .hc_engine import HCRecord, hc_table
-from .irreducibles import count_irreducibles, ensure_prime_power
-from .superior import SPoint, _exponent_at, iter_spoints, shc_pattern, sshc_family
+from .irreducibles import ensure_prime_power
+from .superior import SPoint, SshcEntry, _exponent_at, families
 
 
 @dataclass(frozen=True)
@@ -70,25 +75,33 @@ class TBoundCertificate:
         return log(self.anchor_tau) - log(self.T)
 
 
+def _anchor(walk: list, N: int) -> tuple[SPoint, tuple[SshcEntry, ...], int, int]:
+    """The first point of the walk whose superior degree reaches N, its
+    family, and (v, u) with deg(h) - N = v*s + u, 0 <= u < s.
+
+    walk is superior.families(q, M) for some M >= N, whose tops strictly
+    increase, so bisection finds the point.  The family structure
+    guarantees 0 <= v < pi(s) as well, so the anchor family member at
+    degree N - u exists.
+    """
+    point, family = walk[bisect_left(walk, N, key=lambda pf: pf[1][0].degree)]
+    v, u = divmod(family[0].degree - N, point.s)
+    if not 0 <= v < len(family) - 1:
+        raise AssertionError(f"gap {family[0].degree - N} too wide at {point}")
+    return point, family, v, u
+
+
 def locate_anchor(q: int, N: int) -> tuple[SPoint, int, int]:
     """First grid point whose superior maximizer reaches degree N.
 
-    Returns (point, v, u) with deg(h) - N = v*s + u, 0 <= u < s; the
-    family structure guarantees 0 <= v < pi(s) as well, so the anchor
-    family member at degree N - u exists.
+    Returns (point, v, u) with deg(h) - N = v*s + u, 0 <= u < s and
+    0 <= v < pi(s).
     """
     ensure_prime_power(q)
     if N < 1:
         raise ValueError(f"anchor decomposition needs N >= 1, got {N}")
-    for point in iter_spoints():
-        h = shc_pattern(point, q)
-        if h.degree >= N:
-            v, u = divmod(h.degree - N, point.s)
-            pi_s = count_irreducibles(q, point.s)
-            if not 0 <= v < pi_s:
-                raise AssertionError(f"gap {h.degree - N} too wide at {point}")
-            return point, v, u
-    raise AssertionError("unreachable: superior degrees are unbounded")
+    point, _, v, u = _anchor(families(q, N), N)
+    return point, v, u
 
 
 def epsilon_bounds(point: SPoint, q: int, u: int) -> tuple[LogBound, LogBound]:
@@ -108,10 +121,10 @@ def epsilon_bounds(point: SPoint, q: int, u: int) -> tuple[LogBound, LogBound]:
     return LogBound(r + 1, r, u, s), LogBound(a_u + 1, a_u, 1, 1)
 
 
-def _certificate(q: int, N: int, T: int) -> TBoundCertificate:
-    point, v, u = locate_anchor(q, N)
+def _certificate(walk: list, N: int, T: int) -> TBoundCertificate:
+    """The certificate for T = T(N), anchored on walk = superior.families(q, M), M >= N."""
+    point, family, v, u = _anchor(walk, N)
     s, r = point.s, point.r
-    family = sshc_family(point, q)
     anchor = family[v]
     if u == 0:
         exact = anchor.degree == N and anchor.tau == T
@@ -140,4 +153,5 @@ def verify_T_bounds(
     """
     if records is None:
         records = hc_table(q, max_degree)
-    return [_certificate(q, n, records[n].tau) for n in range(1, max_degree + 1)]
+    walk = families(q, max_degree)
+    return [_certificate(walk, n, records[n].tau) for n in range(1, max_degree + 1)]

@@ -26,7 +26,7 @@ from .irreducibles import count_irreducibles, ensure_prime_power, enumerate_irre
 
 
 _INF = float("inf")
-_FLUSH_PARTS = 4096
+_FLUSH_PARTS = 512
 
 
 def _json_float(x: float) -> str:
@@ -186,16 +186,17 @@ def _cmd_hc_table(args: argparse.Namespace) -> int:
     if need_rows:
         tbl = enumerate_irreducibles(args.q, _top_class_degree(records))
     if args.format == "json":
-        docs = []
-        for record in records:
+        def record_doc(record: hc_engine.HCRecord) -> dict:
             doc = hc_engine._record_to_json(record)
             if args.explicit:
-                doc["polynomials"] = [
+                doc["polynomials"] = (
                     divisor_core.format_factored(form)
                     for p in record.patterns
                     for form in divisor_core.realize_polynomials(p, tbl)
-                ]
-            docs.append(doc)
+                )
+            return doc
+
+        docs = map(record_doc, records)
         _emit_json({"q": args.q, "max_degree": args.max_degree, "records": docs})
         return 0
     print("f\tdeg\ttau")
@@ -218,7 +219,7 @@ def _cmd_tmax(args: argparse.Namespace) -> int:
     if args.n == 0:
         print("no anchor decomposition at degree 0 (the empty product)")
         return 0
-    cert = bounds._certificate(args.q, args.n, records[args.n].tau)
+    cert = bounds._certificate(superior.families(args.q, args.n), args.n, records[args.n].tau)
     point = cert.point
     print(
         f"anchor: s={point.s} r={point.r} v={cert.v} u={cert.u} "
@@ -243,24 +244,23 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.max_degree < 1:
         raise ValueError("--max-degree must be at least 1 for certification")
     certs = bounds.verify_T_bounds(args.q, args.max_degree)
-    docs = []
-    for cert in certs:
-        docs.append(
-            {
-                "N": cert.N,
-                "s": cert.point.s,
-                "r": cert.point.r,
-                "v": cert.v,
-                "u": cert.u,
-                "anchor_degree": cert.anchor_degree,
-                "anchor_tau": str(cert.anchor_tau),
-                "T": str(cert.T),
-                "lower_ok": cert.lower_ok,
-                "upper_ok": cert.upper_ok,
-                "width_ok": cert.width_ok,
-                "epsilon_approx": round(cert.epsilon_approx(), 12),
-            }
-        )
+    docs = (
+        {
+            "N": cert.N,
+            "s": cert.point.s,
+            "r": cert.point.r,
+            "v": cert.v,
+            "u": cert.u,
+            "anchor_degree": cert.anchor_degree,
+            "anchor_tau": str(cert.anchor_tau),
+            "T": str(cert.T),
+            "lower_ok": cert.lower_ok,
+            "upper_ok": cert.upper_ok,
+            "width_ok": cert.width_ok,
+            "epsilon_approx": round(cert.epsilon_approx(), 12),
+        }
+        for cert in certs
+    )
     _emit_json({"q": args.q, "max_degree": args.max_degree, "certificates": docs})
     for cert in certs:
         if not cert.ok:

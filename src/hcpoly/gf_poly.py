@@ -126,13 +126,6 @@ def poly_divrem(a: PolyFq, b: PolyFq) -> tuple[tuple[int, ...], tuple[int, ...]]
     return _divrem_raw(a.coeffs, b.coeffs, a.q)
 
 
-def poly_divides(d: PolyFq, f: PolyFq) -> bool:
-    """True when d divides f."""
-    _require_same_field(d, f)
-    _, rem = _divrem_raw(f.coeffs, d.coeffs, f.q)
-    return rem == ()
-
-
 def order_key(f: PolyFq) -> int:
     """The integer f(q): base-q digits of the coefficient vector."""
     key = 0

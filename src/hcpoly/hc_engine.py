@@ -12,7 +12,8 @@ pattern.  All arithmetic is exact.
 
 Records carry the markers of the distinguished families: SHC for degrees
 holding a superior maximizer, SSHC for the strict half-step members in
-between.  A versioned JSON cache, one compact line per file (big integers
+between, read from superior.families, the grid walk that also anchors
+the certificates of bounds.  A versioned JSON cache, one compact line per file (big integers
 as decimal strings), makes repeated table requests cheap; writes are
 atomic via os.replace.
 """
@@ -34,7 +35,7 @@ from .divisor_core import (
     realization_count,
 )
 from .irreducibles import count_irreducibles, ensure_prime_power
-from .superior import iter_spoints, shc_pattern, sshc_family
+from .superior import families
 
 MARKER_NONE = "none"
 MARKER_SSHC = "SSHC"
@@ -134,30 +135,26 @@ def _compute_records(q: int, max_degree: int) -> list[HCRecord]:
         ordered = _canonical_order(patterns)
         total = sum(realization_count(p) for p in ordered)
         records.append(HCRecord(n, tau, ordered, total))
+    # best refers to itself, so without this the memo would live on until
+    # the cyclic collector ran, under the next table's DP
+    memo.clear()
     return records
 
 
 def _marker_degrees(q: int, max_degree: int) -> tuple[set[int], set[int]]:
     """The SHC and the SSHC degrees up to max_degree.
 
-    Walks grid points in increasing order; each contributes its superior
-    maximizer's degree (SHC) and the degrees of the strict intermediate
-    family members (SSHC).  Consecutive superior degrees bracket each
-    family, so the walk stops once a family lies entirely above the table.
+    Reads superior.families: each family contributes its superior
+    maximizer's degree (SHC) and the degrees of its strict intermediate
+    members (SSHC); the walk's docstring proves that it lists every
+    member of degree <= max_degree.
     """
     shc_degrees: set[int] = set()
     sshc_degrees: set[int] = set()
-    for point in iter_spoints():
-        family = sshc_family(point, q)
-        top = family[0].degree
-        bottom = family[-1].degree
-        if bottom > max_degree:
-            break
-        if top <= max_degree:
-            shc_degrees.add(top)
-        for entry in family[1:-1]:
-            if entry.degree <= max_degree:
-                sshc_degrees.add(entry.degree)
+    for _, family in families(q, max_degree):
+        if family[0].degree <= max_degree:
+            shc_degrees.add(family[0].degree)
+        sshc_degrees.update(e.degree for e in family[1:-1] if e.degree <= max_degree)
     overlap = shc_degrees & sshc_degrees
     if overlap:
         raise AssertionError(f"degree marked both ways: {sorted(overlap)}")

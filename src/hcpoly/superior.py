@@ -11,7 +11,10 @@ q**(k/x) hits a rational (m+1)/m, i.e. when x lies in
 so S is parameterized by grid points (s, r) independent of q.  Everything
 here compares such points, walks them in increasing order, and builds the
 superior polynomials and their half-step relatives sitting at each point.
-All decisions are big-integer comparisons: x(a) < x(b) iff
+families(q, max_degree) is the one walk of the grid that the rest of the
+package reads: the table's SHC/SSHC markers and every anchor and
+certificate of bounds come from its list, built once per table or
+degree.  All decisions are big-integer comparisons: x(a) < x(b) iff
 
     (rb+1)**sa * ra**sb < (ra+1)**sb * rb**sa,
 
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from functools import cmp_to_key, total_ordering
 from typing import Iterator, NamedTuple
 
-from .divisor_core import ExponentPattern, pattern
 from .irreducibles import count_irreducibles, ensure_prime_power
 
 
@@ -158,12 +160,6 @@ class ShcPolynomial:
     degree: int
     tau: int
 
-    def to_pattern(self) -> ExponentPattern:
-        return pattern(
-            self.q,
-            {k: (a,) * count_irreducibles(self.q, k) for k, a in enumerate(self.exponents, 1)},
-        )
-
 
 def shc_pattern(point: SPoint, q: int) -> ShcPolynomial:
     """Build the superior maximizer at this grid point by closed formula."""
@@ -220,50 +216,38 @@ def sshc_family(point: SPoint, q: int) -> tuple[SshcEntry, ...]:
     return tuple(entries)
 
 
-def sshc_pattern(point: SPoint, q: int, v: int) -> ExponentPattern:
-    """Canonical exponent pattern of family entry v at this grid point."""
-    h = shc_pattern(point, q)
-    pi_s = count_irreducibles(q, point.s)
-    if not (0 <= v <= pi_s):
-        raise ValueError(f"v must lie in 0..{pi_s}, got {v}")
-    classes = {k: [a] * count_irreducibles(q, k) for k, a in enumerate(h.exponents, 1)}
-    lowered = classes[point.s]
-    for i in range(v):
-        lowered[i] -= 1
-    return pattern(q, classes)
+def families(q: int, max_degree: int) -> list[tuple[SPoint, tuple[SshcEntry, ...]]]:
+    """The grid walk: (point, sshc_family(point, q)) in increasing order,
+    up to and including the first point whose superior degree exceeds
+    max_degree.
 
+    Markers, anchors and certificates all read this one list.  It holds
+    everything they need because of two facts:
 
-def phi_maximizers(point: SPoint, k: int) -> frozenset[int]:
-    """Integer exponents maximizing m -> (m+1) / q**(m*k/x) at this point.
+    1. Each family's bottom member (v = pi(s)) is the previous point's
+       superior maximizer, and the empty product before (1, 1).  Between
+       neighbouring grid points no exponent jumps, and at (s, r) only the
+       degree-s exponent does, from r-1 to r, since no two grid points
+       share an x.  The walk re-checks degree and tau as it goes.
+    2. Superior degrees therefore strictly increase along the grid: each
+       exceeds its predecessor, its family's bottom, by s*pi(s).
 
-    The maximum sits at j = floor(1/(q**(k/x)-1)); it is shared with j-1
-    exactly when the defining inequality holds with equality, which is a
-    pure integer identity independent of q.
+    So family members lie between their family's bottom and top degree,
+    and every family after the last lies at or above the last top, which
+    exceeds max_degree: every member of degree <= max_degree is listed.
+    For 1 <= N <= max_degree, the first point whose superior degree
+    reaches N is listed too, since the last one's does; by fact 2 a
+    bisection on the tops finds it.
     """
-    if k < 1:
-        raise ValueError(f"irreducible degree must be positive, got {k}")
-    s, r = point.s, point.r
-    j = _exponent_at(s, r, k)
-    if j and (r + 1) ** k * j**s == r**k * (j + 1) ** s:
-        return frozenset((j - 1, j))
-    return frozenset((j,))
-
-
-def sshc_certificate(point: SPoint, q: int, deg_f: int, tau_f: int) -> int:
-    """Compare tau_f / q**(deg_f/x) against the superior maximizer's value.
-
-    Returns -1, 0, or 1 as the candidate's score is below, at, or above
-    the maximizer's.  Exact: raising both scores to the power s*log(q)
-    turns them into the integer products compared here.  0 certifies
-    membership in the half-step family; 1 is impossible for realizable
-    (deg_f, tau_f) pairs.
-    """
-    h = shc_pattern(point, q)
-    s, r = point.s, point.r
-    lhs = tau_f**s * (r + 1) ** h.degree * r**deg_f
-    rhs = h.tau**s * (r + 1) ** deg_f * r**h.degree
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0
+    ensure_prime_power(q)
+    walk = []
+    previous = (0, 1)  # degree and tau of the empty product
+    for point in iter_spoints():
+        family = sshc_family(point, q)
+        if (family[-1].degree, family[-1].tau) != previous:
+            raise AssertionError(f"family at {point} does not telescope to {previous}")
+        walk.append((point, family))
+        previous = (family[0].degree, family[0].tau)
+        if previous[0] > max_degree:
+            return walk
+    raise AssertionError("unreachable: superior degrees are unbounded")

@@ -9,7 +9,8 @@ from hcpoly.bounds import (
     verify_T_bounds,
 )
 from hcpoly.hc_engine import MARKER_NONE
-from hcpoly.superior import SPoint, exponent_at, shc_pattern
+from hcpoly.irreducibles import count_irreducibles
+from hcpoly.superior import SPoint, exponent_at, iter_spoints, shc_pattern
 
 
 def test_logbound_approx():
@@ -49,6 +50,23 @@ def test_locate_anchor_resubstitutes():
             assert h.degree - v * point.s - u == n
             assert 0 <= u < point.s
             assert 0 <= v
+
+
+def _scanned_anchor(q, N):
+    """(point, v, u) by walking the grid from (1, 1) to the first superior
+    degree >= N; no bisection and no family walk."""
+    for point in iter_spoints():
+        h = shc_pattern(point, q)
+        if h.degree >= N:
+            v, u = divmod(h.degree - N, point.s)
+            assert 0 <= v < count_irreducibles(q, point.s)
+            return point, v, u
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 31])
+def test_locate_anchor_matches_scan(q):
+    for n in range(1, 201):
+        assert locate_anchor(q, n) == _scanned_anchor(q, n), n
 
 
 def test_locate_anchor_validation():

@@ -410,6 +410,14 @@ def test_irreducibles_json_memory_like_text():
     assert streamed <= 1.5 * text
 
 
+def test_hc_table_json_memory_like_text():
+    # 2,219 explicit polynomials; holding every record document in memory
+    # peaks at nearly 4x the text table
+    text = _traced_peak("hc-table", "--q", "2", "--max-degree", "60")
+    streamed = _traced_peak("hc-table", "--format", "json", "--explicit", "--q", "2", "--max-degree", "60")
+    assert streamed <= 1.5 * text
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,7 +11,6 @@ from hcpoly.gf_poly import (
     is_prime,
     order_key,
     parse_poly,
-    poly_divides,
     poly_divrem,
     poly_from_key,
     poly_mul,
@@ -84,13 +83,6 @@ def test_divrem_recombines(seed, da, db, data):
     for i, c in enumerate(rem):
         recombined[i] = (recombined[i] + c) % q
     assert tuple(recombined[: len(a.coeffs)]) == a.coeffs
-
-
-def test_poly_divides():
-    f = poly_mul(PolyFq(2, (1, 1)), PolyFq(2, (1, 1, 1)))
-    assert poly_divides(PolyFq(2, (1, 1)), f)
-    assert poly_divides(PolyFq(2, (1, 1, 1)), f)
-    assert not poly_divides(PolyFq(2, (0, 1)), f)
 
 
 def test_order_key_examples():

@@ -5,18 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hcpoly import superior
-from hcpoly.divisor_core import pattern, pattern_degree, pattern_tau
+from hcpoly.bounds import locate_anchor
+from hcpoly.hc_engine import MARKER_NONE, hc_table
 from hcpoly.superior import (
     SPoint,
     enumerate_spoints,
     exponent_at,
     iter_spoints,
-    phi_maximizers,
     shc_pattern,
     spoint_compare,
-    sshc_certificate,
     sshc_family,
-    sshc_pattern,
     verify_pair_uniqueness,
 )
 
@@ -123,9 +121,6 @@ def test_shc_pattern_frozen_table():
         assert h.exponents == exponents
         assert h.degree == degree
         assert h.tau == tau
-        p = h.to_pattern()
-        assert pattern_degree(p) == degree
-        assert pattern_tau(p) == tau
 
 
 def test_shc_exponents_non_increasing():
@@ -164,23 +159,20 @@ def test_family_telescopes_to_predecessor():
         prev_degree, prev_tau = fam[0].degree, fam[0].tau
 
 
-def test_sshc_pattern_values():
-    p = sshc_pattern(SPoint(3, 1), 2, 1)
-    assert p == pattern(2, {1: [3, 3], 2: [1], 3: [1]})
-    assert pattern_degree(p) == 11
-    assert pattern_tau(p) == 64
-    assert sshc_pattern(SPoint(1, 1), 2, 2) == pattern(2, {})
-    with pytest.raises(ValueError):
-        sshc_pattern(SPoint(3, 1), 2, 3)
+def sshc_certificate(point, q, deg_f, tau_f):
+    """Compare tau_f / q**(deg_f/x) against the superior maximizer's value.
 
-
-def test_phi_maximizers():
-    assert phi_maximizers(SPoint(1, 1), 1) == frozenset((0, 1))
-    assert phi_maximizers(SPoint(1, 2), 1) == frozenset((1, 2))
-    assert phi_maximizers(SPoint(2, 1), 1) == frozenset((2,))
-    assert phi_maximizers(SPoint(2, 1), 2) == frozenset((0, 1))
-    with pytest.raises(ValueError):
-        phi_maximizers(SPoint(1, 1), 0)
+    Returns -1, 0, or 1 as the candidate's score is below, at, or above
+    the maximizer's.  Exact: raising both scores to the power s*log(q)
+    turns them into the integer products compared here.  0 certifies
+    membership in the half-step family; 1 is impossible for realizable
+    (deg_f, tau_f) pairs.
+    """
+    h = shc_pattern(point, q)
+    s, r = point.s, point.r
+    lhs = tau_f**s * (r + 1) ** h.degree * r**deg_f
+    rhs = h.tau**s * (r + 1) ** deg_f * r**h.degree
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def test_sshc_certificate_membership():
@@ -190,6 +182,18 @@ def test_sshc_certificate_membership():
     # a plain maximizer that is not in the family scores strictly below
     assert sshc_certificate(point, 2, 5, 12) == -1
     assert sshc_certificate(point, 2, 14, 129) == 1  # unrealizable, but the comparison is exact
+
+
+@pytest.mark.parametrize("q,max_degree", [(2, 160), (3, 60), (4, 40), (5, 40), (31, 40)])
+def test_markers_agree_with_anchor_score(q, max_degree):
+    # the paper's score, not the walk that set the markers: a maximizer of
+    # degree n scores exactly at its anchor's superior value iff it is a
+    # family member, which is what an SHC or SSHC marker claims
+    for record in hc_table(q, max_degree)[1:]:
+        point, _, u = locate_anchor(q, record.degree)
+        score = sshc_certificate(point, q, record.degree, record.tau)
+        assert score == (-1 if record.marker == MARKER_NONE else 0), record.degree
+        assert (score == 0) == (u == 0), record.degree
 
 
 def test_verify_pair_uniqueness_small():
