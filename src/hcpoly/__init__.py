@@ -30,7 +30,7 @@ from .divisor_core import (
     realization_count,
     realize_polynomials,
 )
-from .gf_poly import PolyFq, format_poly, order_key, parse_poly, poly_divrem, poly_mul
+from .gf_poly import PolyFq, format_poly, order_key, poly_divrem, poly_mul
 from .hc_engine import HCRecord, annotate_markers, hc_table
 from .irreducibles import IrreducibleTable, count_irreducibles, enumerate_irreducibles, mobius
 from .superior import (
@@ -76,7 +76,6 @@ __all__ = [
     "locate_anchor",
     "mobius",
     "order_key",
-    "parse_poly",
     "pattern",
     "pattern_degree",
     "pattern_tau",

@@ -8,9 +8,9 @@ deg(h) - N = v*s + u (0 <= u < s) against the anchor point (s, r) yields
     (u/s) * log(1 + 1/r)  <=  eps(N)  <=  log(1 + 1/a_u)   (u >= 1),
 
 with a_u the anchor's exponent on degree-u irreducibles, and eps(N) = 0
-when u = 0 (the degree lands exactly on a family member).  Both sides
-become big-integer comparisons after exponentiating, which is what the
-certificates check; no floats are involved in any verdict.
+when u = 0 (the degree lands exactly on a family member).  Every verdict
+is a LogBound comparison, one big-integer comparison after
+exponentiating; no floats are involved in any verdict.
 
 The anchors come from superior.families, walked once up to the largest
 degree certified: the anchor of N is a bisection on the superior degrees
@@ -104,6 +104,17 @@ def locate_anchor(q: int, N: int) -> tuple[SPoint, int, int]:
     return point, v, u
 
 
+def _bracket(point: SPoint, u: int) -> tuple[LogBound, LogBound]:
+    """epsilon_bounds for remainder 0 <= u < s, with both bounds 0 at u = 0."""
+    if u == 0:
+        return LogBound(1, 1, 1, 1), LogBound(1, 1, 1, 1)
+    s, r = point.s, point.r
+    a_u = _exponent_at(s, r, u)
+    if a_u < r:
+        raise AssertionError(f"exponent at {point} fell below r for u={u}")
+    return LogBound(r + 1, r, u, s), LogBound(a_u + 1, a_u, 1, 1)
+
+
 def epsilon_bounds(point: SPoint, q: int, u: int) -> tuple[LogBound, LogBound]:
     """Exact lower and upper bounds for the defect with remainder u >= 1.
 
@@ -112,34 +123,26 @@ def epsilon_bounds(point: SPoint, q: int, u: int) -> tuple[LogBound, LogBound]:
     r at u = s.
     """
     ensure_prime_power(q)
-    s, r = point.s, point.r
-    if not (1 <= u < s):
-        raise ValueError(f"remainder must satisfy 1 <= u < s, got u={u}, s={s}")
-    a_u = _exponent_at(s, r, u)
-    if a_u < r:
-        raise AssertionError(f"exponent at {point} fell below r for u={u}")
-    return LogBound(r + 1, r, u, s), LogBound(a_u + 1, a_u, 1, 1)
+    if not (1 <= u < point.s):
+        raise ValueError(f"remainder must satisfy 1 <= u < s, got u={u}, s={point.s}")
+    return _bracket(point, u)
 
 
 def _certificate(walk: list, N: int, T: int) -> TBoundCertificate:
-    """The certificate for T = T(N), anchored on walk = superior.families(q, M), M >= N."""
+    """The certificate for T = T(N), anchored on walk = superior.families(q, M), M >= N.
+
+    The verdicts are lower <= eps, eps <= upper and, for the width,
+    upper - log(4/3) <= lower, with eps = log(tau(h)/T); at u = 0 the
+    first two say tau(h) == T.
+    """
     point, family, v, u = _anchor(walk, N)
-    s, r = point.s, point.r
     anchor = family[v]
-    if u == 0:
-        exact = anchor.degree == N and anchor.tau == T
-        return TBoundCertificate(N, point, v, u, anchor.degree, anchor.tau, T, exact, exact, True)
     if anchor.degree - u != N:
         raise AssertionError(f"anchor degree mismatch at N={N}: {anchor.degree} - {u}")
-    a_u = _exponent_at(s, r, u)
-    # eps >= (u/s)*log(1+1/r)  <=>  (r+1)**u * T**s <= r**u * tau(h)**s
-    lower_ok = (r + 1) ** u * T**s <= r**u * anchor.tau**s
-    # eps <= log(1+1/a_u)      <=>  tau(h) * a_u <= T * (a_u + 1)
-    upper_ok = anchor.tau * a_u <= T * (a_u + 1)
-    # bracket width <= log(4/3) <=> (1+1/a_u) / (1+1/r)**(u/s) <= 4/3,
-    # certified through s-th powers: (3*(a_u+1))**s * r**u <= (4*a_u)**s * (r+1)**u
-    width_ok = (3 * (a_u + 1)) ** s * r**u <= (4 * a_u) ** s * (r + 1) ** u
-    return TBoundCertificate(N, point, v, u, anchor.degree, anchor.tau, T, lower_ok, upper_ok, width_ok)
+    lower, upper = _bracket(point, u)
+    eps = LogBound(anchor.tau, T, 1, 1)
+    verdicts = (lower <= eps, eps <= upper, LogBound(3 * upper.num, 4 * upper.den, 1, 1) <= lower)
+    return TBoundCertificate(N, point, v, u, anchor.degree, anchor.tau, T, *verdicts)
 
 
 def verify_T_bounds(

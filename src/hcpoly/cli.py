@@ -228,10 +228,9 @@ def _cmd_tmax(args: argparse.Namespace) -> int:
     print(f"epsilon({args.n}) ~ {cert.epsilon_approx():.6g} (display only)")
     if cert.u:
         lo, hi = bounds.epsilon_bounds(point, args.q, cert.u)
-        a_u = superior.exponent_at(point, args.q, cert.u)
         print(
             f"bounds: ({cert.u}/{point.s})*log(1+1/{point.r}) ~ {lo.approx():.6g} "
-            f"<= epsilon <= log(1+1/{a_u}) ~ {hi.approx():.6g} (display only)"
+            f"<= epsilon <= log(1+1/{hi.den}) ~ {hi.approx():.6g} (display only)"
         )
     else:
         print("bounds: epsilon = 0 exactly (degree sits on a family member)")
@@ -274,55 +273,39 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _maximizer_docs(records: list[hc_engine.HCRecord]) -> list[dict]:
-    docs = []
-    for record in records:
-        for p in record.patterns:
-            docs.append(
-                {
-                    "degree": record.degree,
-                    "tau": str(record.tau),
-                    "patterns": [
-                        {"class_degree": k, "exponents": list(exponents)}
-                        for k, exponents in p.classes
-                    ],
-                    "realizations": str(divisor_core.realization_count(p)),
-                }
-            )
-    return docs
+    return [
+        {
+            "degree": record.degree,
+            "tau": str(record.tau),
+            "patterns": doc["classes"],
+            "realizations": doc["realizations"],
+        }
+        for record in records
+        for doc in map(hc_engine._pattern_to_json, record.patterns)
+    ]
 
 
 def _run_verify_checks(q: int, max_degree: int) -> tuple[list[tuple[str, bool, str]], list]:
     checks = []
     records = hc_engine.hc_table(q, max_degree)
 
-    oracle = divisor_core.brute_force_T(q, max_degree, prune=True)
-    bad = [
-        n
-        for n in range(max_degree + 1)
-        if oracle[n].tau != records[n].tau or set(oracle[n].patterns) != set(records[n].patterns)
-    ]
-    checks.append(
-        (
-            f"pattern-oracle q={q} n<={max_degree}",
-            not bad,
-            "" if not bad else f"first mismatch at degree {bad[0]}",
+    for label, limit, prune in (
+        ("pattern-oracle", max_degree, True),
+        ("unpruned-oracle", min(max_degree, 14), False),
+    ):
+        oracle = divisor_core.brute_force_T(q, limit, prune=prune)
+        bad = [
+            n
+            for n in range(limit + 1)
+            if oracle[n].tau != records[n].tau or set(oracle[n].patterns) != set(records[n].patterns)
+        ]
+        checks.append(
+            (
+                f"{label} q={q} n<={limit}",
+                not bad,
+                "" if not bad else f"first mismatch at degree {bad[0]}",
+            )
         )
-    )
-
-    free_limit = min(max_degree, 14)
-    free = divisor_core.brute_force_T(q, free_limit, prune=False)
-    bad = [
-        n
-        for n in range(free_limit + 1)
-        if free[n].tau != records[n].tau or set(free[n].patterns) != set(records[n].patterns)
-    ]
-    checks.append(
-        (
-            f"unpruned-oracle q={q} n<={free_limit}",
-            not bad,
-            "" if not bad else f"first mismatch at degree {bad[0]}",
-        )
-    )
 
     if is_prime(q):
         raw_limit = max(n for n in range(min(max_degree, 14) + 1) if q**n <= 2**14)

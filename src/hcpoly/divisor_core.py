@@ -7,7 +7,8 @@ non-increasing tuple of positive exponents, one per distinct irreducible
 used.  tau, degree, and the number of monic polynomials realizing a pattern
 are all cheap integer formulas on this shape, which is what makes
 exhaustive search over patterns feasible far beyond the raw search over
-q**n polynomials.
+q**n polynomials.  None of these formulas, nor the canonical pattern
+order, pads a class to its full irreducible count.
 
 Two oracles are provided for cross-checking the dynamic-programming engine:
 brute_force_T enumerates patterns (optionally pruned by the exponent
@@ -18,7 +19,8 @@ the divisors of every monic polynomial of each degree with a product sieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
+from itertools import product
+from math import comb, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .gf_poly import PolyFq, is_prime, poly_divrem, poly_from_key, product_keys
@@ -92,30 +94,21 @@ def pattern_union(a: ExponentPattern, b: ExponentPattern) -> ExponentPattern:
     return pattern(a.q, merged)
 
 
-def _full_vector(p: ExponentPattern, class_degree: int) -> tuple[int, ...]:
-    """Exponents of one class, zero-padded to the full irreducible count."""
-    available = count_irreducibles(p.q, class_degree)
-    for k, exponents in p.classes:
-        if k == class_degree:
-            return exponents + (0,) * (available - len(exponents))
-    return (0,) * available
-
-
 def realization_count(p: ExponentPattern) -> int:
     """Number of monic polynomials whose factorization matches p.
 
-    Within each degree class the zero-padded exponent vector can be dealt
-    to the available irreducibles in any order; distinct assignments are
-    counted by the multinomial of its entry multiplicities.
+    A class of degree k deals its exponents to distinct irreducibles of
+    the pi(k) and 0 to the rest.  Choosing in turn, from those still free,
+    the m_v that get each distinct exponent v gives prod comb(free, m_v):
+    the multinomial of the class's zero-padded exponent vector.
     """
     total = 1
     for class_degree, exponents in p.classes:
-        vec = _full_vector(p, class_degree)
-        ways = factorial(len(vec))
-        mult = 1
-        for value in set(vec):
-            mult *= factorial(vec.count(value))
-        total *= ways // mult
+        free = count_irreducibles(p.q, class_degree)
+        for value in set(exponents):
+            m = exponents.count(value)
+            total *= comb(free, m)
+            free -= m
     return total
 
 
@@ -148,41 +141,32 @@ def realize_polynomials(
     each class's assignments in descending lexicographic order, which is
     the row order of the explicit tables.  The result has exactly
     realization_count(p) entries.
+    Pairs come out in ascending prime index unsorted: slot j of class k
+    has index degree_offsets[k] + 1 + j, and classes are joined by k.
     """
     if tbl.q != p.q:
         raise ValueError(f"table is over F_{tbl.q}, pattern over F_{p.q}")
-    degrees = [k for k, _ in p.classes]
-    if degrees and degrees[-1] > tbl.max_degree:
-        raise ValueError(
-            f"table depth {tbl.max_degree} insufficient for class degree {degrees[-1]}"
-        )
+    top = max((k for k, _ in p.classes), default=0)
+    if top > tbl.max_degree:
+        raise ValueError(f"table depth {tbl.max_degree} insufficient for class degree {top}")
     # each assignment is kept as its (prime index, exponent) pairs with a
     # nonzero exponent, shared by every form that uses it: a class can have
     # many more irreducibles than used slots
     per_class: list[list[tuple[tuple[int, int], ...]]] = []
-    for class_degree in degrees:
+    for class_degree, exponents in p.classes:
         base = tbl.degree_offsets[class_degree] + 1
-        vec = _full_vector(p, class_degree)
+        vec = exponents + (0,) * (count_irreducibles(p.q, class_degree) - len(exponents))
         per_class.append(
             [
                 tuple((base + slot, e) for slot, e in enumerate(perm) if e)
                 for perm in _multiset_perms_desc(vec)
             ]
         )
-    forms: list[tuple[tuple[int, int], ...]] = []
-
-    def descend(level: int, chosen: list[tuple[tuple[int, int], ...]]) -> None:
-        # highest class varies slowest: recurse from the back of per_class
-        if level < 0:
-            forms.append(tuple(sorted(pair for assignment in chosen for pair in assignment)))
-            return
-        for assignment in per_class[level]:
-            chosen.append(assignment)
-            descend(level - 1, chosen)
-            chosen.pop()
-
-    descend(len(per_class) - 1, [])
-    return forms
+    # product varies its last factor fastest: the highest class, first here
+    return [
+        tuple(pair for assignment in reversed(choice) for pair in assignment)
+        for choice in product(*reversed(per_class))
+    ]
 
 
 def exponents_monotone(p: ExponentPattern) -> bool:
@@ -246,16 +230,23 @@ class DegreeMaximum(NamedTuple):
     patterns: tuple[ExponentPattern, ...]
 
 
+def _canonical_key(p: ExponentPattern) -> tuple[tuple[int, ...], ...]:
+    """Per class degree 1..max, that class's exponent tuple, or ().
+
+    Ordering these keys orders the full exponent vectors (each class
+    zero-padded to pi(k), class 1 first): padding positive tuples with
+    zeros to a fixed length never changes a lexicographic comparison.
+    """
+    key: list[tuple[int, ...]] = []
+    for class_degree, exponents in p.classes:
+        key += [()] * (class_degree - 1 - len(key))
+        key.append(exponents)
+    return tuple(key)
+
+
 def _canonical_order(patterns: Iterable[ExponentPattern]) -> tuple[ExponentPattern, ...]:
     """Sort patterns by descending full exponent vector (class 1 first)."""
-
-    def vector(p: ExponentPattern) -> tuple[int, ...]:
-        out: list[int] = []
-        for class_degree in range(1, max((k for k, _ in p.classes), default=0) + 1):
-            out.extend(_full_vector(p, class_degree))
-        return tuple(out)
-
-    return tuple(sorted(patterns, key=vector, reverse=True))
+    return tuple(sorted(patterns, key=_canonical_key, reverse=True))
 
 
 def _class_vectors(

@@ -255,65 +255,3 @@ def format_poly(f: PolyFq) -> str:
         else:
             terms.append(f"t^{i}" if c == 1 else f"{c}t^{i}")
     return "+".join(terms)
-
-
-def format_poly_digits(f: PolyFq) -> str:
-    """Compact form: base-q digits, highest degree first ('111101')."""
-    if f.q > 10:
-        raise ValueError("digit form needs q <= 10")
-    return "".join(str(c) for c in reversed(f.coeffs))
-
-
-def _parse_term(term: str, q: int) -> tuple[int, int]:
-    """One '[c]t[^e]' or 'c' term -> (exponent, coefficient)."""
-    if not term:
-        raise ValueError("empty term")
-    if "t" not in term:
-        coef = int(term)
-        exp = 0
-    else:
-        head, _, tail = term.partition("t")
-        coef = int(head) if head else 1
-        if tail:
-            if not tail.startswith("^"):
-                raise ValueError(f"malformed term {term!r}")
-            exp = int(tail[1:])
-            if exp < 2:
-                raise ValueError(f"malformed term {term!r}")
-        else:
-            exp = 1
-    if not (0 < coef < q):
-        raise ValueError(f"coefficient out of range in term {term!r}")
-    return exp, coef
-
-
-def parse_poly(text: str, q: int) -> PolyFq:
-    """Parse the human or the digit form; rejects non-monic input.
-
-    Accepted inputs are canonical: every '+'-separated term has a nonzero
-    in-range coefficient and a distinct exponent, or the whole string is a
-    base-q digit string with leading digit 1.
-    """
-    if not is_prime(q):
-        raise ValueError(f"modulus must be prime, got {q}")
-    compact = text.replace(" ", "")
-    if not compact:
-        raise ValueError("empty polynomial")
-    if compact.isdigit() and (len(compact) > 1 or "t" not in text):
-        digits = [int(ch) for ch in compact]
-        if any(d >= q for d in digits):
-            raise ValueError(f"digit out of range for base {q} in {text!r}")
-        if digits[0] != 1:
-            raise ValueError(f"not monic: {text!r}")
-        return PolyFq(q, tuple(reversed(digits)))
-    seen: dict[int, int] = {}
-    for term in compact.split("+"):
-        exp, coef = _parse_term(term, q)
-        if exp in seen:
-            raise ValueError(f"duplicate exponent {exp} in {text!r}")
-        seen[exp] = coef
-    degree = max(seen)
-    coeffs = tuple(seen.get(i, 0) for i in range(degree + 1))
-    if coeffs[-1] != 1:
-        raise ValueError(f"not monic: {text!r}")
-    return PolyFq(q, coeffs)

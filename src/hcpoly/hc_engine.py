@@ -8,14 +8,14 @@ exact degree, since the maximum is strictly increasing in the degree).
 The DP state is (slot index, remaining degree budget, exponent cap); one
 memoized pass yields T(n) for every n at once and a backtracking pass
 recovers every optimal exponent assignment, which is a factorization
-pattern.  All arithmetic is exact.
+pattern, already in canonical order.  All arithmetic is exact.
 
 Records carry the markers of the distinguished families: SHC for degrees
 holding a superior maximizer, SSHC for the strict half-step members in
 between, read from superior.families, the grid walk that also anchors
-the certificates of bounds.  A versioned JSON cache, one compact line per file (big integers
-as decimal strings), makes repeated table requests cheap; writes are
-atomic via os.replace.
+the certificates of bounds.  A versioned JSON cache, one compact line
+per file (big integers as decimal strings), makes repeated table
+requests cheap; writes are atomic via os.replace.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .divisor_core import (
     ExponentPattern,
-    _canonical_order,
+    _canonical_key,
     pattern,
     pattern_degree,
     pattern_tau,
@@ -109,7 +109,14 @@ def _compute_records(q: int, max_degree: int) -> list[HCRecord]:
         i: int, budget: int, cap: int, need: int, prefix: tuple[tuple[int, int], ...]
     ) -> list[tuple[tuple[int, int], ...]]:
         """All monotone assignments from state (i, budget, cap) whose tau
-        product equals need."""
+        product equals need, strictly descending on _canonical_key.
+
+        Slots go in order, exponents high to low.  Two assignments of one
+        degree spend the same budget on a shared prefix, so they first
+        differ where both are positive: the slot vectors strictly descend.
+        A class's slots are a fixed prefix of its pi(k) irreducibles, with
+        non-increasing exponents, so slot-vector order is key order.
+        """
         if budget == 0:
             return [prefix] if need == 1 else []
         out = []
@@ -132,9 +139,8 @@ def _compute_records(q: int, max_degree: int) -> list[HCRecord]:
             for k, e in assignment:
                 grouped.setdefault(k, []).append(e)
             patterns.append(pattern(q, grouped))
-        ordered = _canonical_order(patterns)
-        total = sum(realization_count(p) for p in ordered)
-        records.append(HCRecord(n, tau, ordered, total))
+        total = sum(realization_count(p) for p in patterns)
+        records.append(HCRecord(n, tau, tuple(patterns), total))
     # best refers to itself, so without this the memo would live on until
     # the cyclic collector ran, under the next table's DP
     memo.clear()
@@ -228,13 +234,16 @@ def _record_from_json(q: int, degree: int, doc: dict) -> HCRecord:
 
 
 def _consistent(record: HCRecord) -> bool:
-    """Whether tau, degree and the polynomial count re-derive from the patterns."""
+    """Whether tau, degree and the polynomial count re-derive from the
+    patterns, listed in _compute_records's strictly descending order."""
+    keys = [_canonical_key(p) for p in record.patterns]
     return (
         bool(record.patterns)
         and all(
             pattern_degree(p) == record.degree and pattern_tau(p) == record.tau
             for p in record.patterns
         )
+        and all(a > b for a, b in zip(keys, keys[1:]))
         and record.total_polynomials == sum(realization_count(p) for p in record.patterns)
     )
 
@@ -247,9 +256,10 @@ def _cache_path(cache_dir: str | Path, q: int, max_degree: int) -> Path:
 def _load_cache(path: Path, q: int, max_degree: int) -> list[HCRecord] | None:
     """The cached table, or None when the file is unreadable, stale or
     malformed, when a record's tau, degree or polynomial count does not
-    re-derive from its patterns, or when a marker differs from the grid
-    walk's.  The walk does not go through annotate_markers, because
-    perfbench's tracer counts a table call that calls it as a cache miss."""
+    re-derive from its patterns, when its patterns are out of order or
+    repeated, or when a marker differs from the grid walk's.  The walk
+    does not go through annotate_markers, because perfbench's tracer
+    counts a table call that calls it as a cache miss."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError, RecursionError):

@@ -92,11 +92,6 @@ class IrreducibleTable:
     primes: tuple[PolyFq, ...]
     degree_offsets: tuple[int, ...]
 
-    def primes_of_degree(self, k: int) -> tuple[PolyFq, ...]:
-        if not (1 <= k <= self.max_degree):
-            raise ValueError(f"degree {k} outside table range 1..{self.max_degree}")
-        return self.primes[self.degree_offsets[k] : self.degree_offsets[k + 1]]
-
     def prime(self, index: int) -> PolyFq:
         """1-based lookup in global order-key order."""
         if not (1 <= index <= len(self.primes)):

@@ -1,16 +1,20 @@
 import math
+import random
 
 import pytest
 
 from hcpoly.bounds import (
     LogBound,
+    _anchor,
+    _bracket,
+    _certificate,
     epsilon_bounds,
     locate_anchor,
     verify_T_bounds,
 )
 from hcpoly.hc_engine import MARKER_NONE
 from hcpoly.irreducibles import count_irreducibles
-from hcpoly.superior import SPoint, exponent_at, iter_spoints, shc_pattern
+from hcpoly.superior import SPoint, exponent_at, families, iter_spoints, shc_pattern
 
 
 def test_logbound_approx():
@@ -103,6 +107,64 @@ def test_bracket_width_at_most_log_4_3():
                 a_u = upper.den
                 assert (3 * (a_u + 1)) ** s * r**u <= (4 * a_u) ** s * (r + 1) ** u
                 assert upper.approx() - lower.approx() <= math.log(4 / 3) + 1e-12
+
+
+def test_logbound_verdicts_match_inline_formulas():
+    # the certificate's three LogBound verdicts against the cross-multiplied
+    # integer forms they stand for, on random inputs that often fail
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(3000):
+        r, a_u, T, tau = (rng.randint(1, 12) for _ in range(4))
+        s = rng.randint(2, 6)
+        u = rng.randint(1, s - 1)
+        lower = LogBound(r + 1, r, u, s)
+        upper = LogBound(a_u + 1, a_u, 1, 1)
+        eps = LogBound(tau, T, 1, 1)
+        verdicts = (
+            lower <= eps,
+            eps <= upper,
+            LogBound(3 * (a_u + 1), 4 * a_u, 1, 1) <= lower,
+        )
+        assert verdicts == (
+            (r + 1) ** u * T**s <= r**u * tau**s,
+            tau * a_u <= T * (a_u + 1),
+            (3 * (a_u + 1)) ** s * r**u <= (4 * a_u) ** s * (r + 1) ** u,
+        )
+        outcomes.update(enumerate(verdicts))
+    assert outcomes == {(i, ok) for i in range(3) for ok in (False, True)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_not_too_sparse_family_far_past_tables(q):
+    # every degree up to 20,000 has an anchor on a family member, and the
+    # bracket around it is at most log(4/3) wide; neither depends on T
+    walk = families(q, 20000)
+    for N in range(1, 20001):
+        point, _, _, u = _anchor(walk, N)
+        if u:
+            lower, upper = _bracket(point, u)
+            assert LogBound(3 * upper.num, 4 * upper.den, 1, 1) <= lower, N
+
+
+def test_certificate_verdicts_on_wrong_T():
+    walk = families(2, 8)
+    # N = 6 lands on the family member of degree 6 and tau 18 (u = 0), so
+    # eps must be exactly 0; N = 5 has u = 1, and T = 12 attains the upper
+    # bound log(3/2) while 13 breaks the lower bound (1/2) log 2
+    verdicts = {
+        (N, T): (c.lower_ok, c.upper_ok, c.width_ok)
+        for N, T in [(6, 17), (6, 18), (6, 19), (5, 11), (5, 12), (5, 13)]
+        for c in [_certificate(walk, N, T)]
+    }
+    assert verdicts == {
+        (6, 17): (True, False, True),
+        (6, 18): (True, True, True),
+        (6, 19): (False, True, True),
+        (5, 11): (True, False, True),
+        (5, 12): (True, True, True),
+        (5, 13): (False, True, True),
+    }
 
 
 def test_certificates_all_hold_q2(records_q2):

@@ -466,6 +466,10 @@ _DIGESTS = {
         "0b341428bad49c2c2101d7ccd069368e0ed5876a4c65c0869cb116ff50e2fe3c",
     "hc-table --q 5 --max-degree 12":
         "0727d5ccfb096692467cf739d769b1a82cc15d0b670d91ec89c7e8bf23f73d2b",
+    "certify --q 4 --max-degree 60":
+        "89ff60291f077ae1392350f5691ef3649a06f3f79da0e4daa1a6bb7766046e22",
+    "tmax --q 3 --n 100 --bounds":
+        "5ba2fa89f70c0b78c9fe07b0243af9f2900a81ed54cbbecc888c07e7e2d1ac1b",
 }
 
 

@@ -180,8 +180,13 @@ def _check_raw_against_patterns(q, max_degree, tbl):
         assert len(raw[n].maximizers) == sum(
             realization_count(p) for p in patterned[n].patterns
         )
-        found = {factor_pattern(f, tbl) for f in raw[n].maximizers}
-        assert found == set(patterned[n].patterns)
+        # multiplied out, the realized patterns are exactly the raw maximizers
+        realized = {
+            build_poly(form, tbl)
+            for p in patterned[n].patterns
+            for form in realize_polynomials(p, tbl)
+        }
+        assert realized == set(raw[n].maximizers)
 
 
 def test_raw_oracle_agrees_with_patterns(tbl_q2):

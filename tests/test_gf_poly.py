@@ -6,11 +6,8 @@ from hcpoly.gf_poly import (
     PolyFq,
     _digit_table,
     _mul_raw,
-    format_poly,
-    format_poly_digits,
     is_prime,
     order_key,
-    parse_poly,
     poly_divrem,
     poly_from_key,
     poly_mul,
@@ -109,39 +106,6 @@ def test_order_key_grows_under_multiplication(da, db, data):
     a = poly_from_key(2, data.draw(st.integers(2**da, 2 ** (da + 1) - 1)))
     b = poly_from_key(2, data.draw(st.integers(2**db, 2 ** (db + 1) - 1)))
     assert order_key(poly_mul(a, b)) > order_key(a)
-
-
-@pytest.mark.parametrize("q", [2, 3, 5])
-def test_parse_format_round_trip(q):
-    for degree in range(0, 4):
-        for f in all_monic(q, degree):
-            assert parse_poly(format_poly(f), q) == f
-            if q <= 10:
-                assert parse_poly(format_poly_digits(f), q) == f
-
-
-def test_parse_accepts_spaces_and_digits():
-    assert parse_poly("t^2 + t + 1", 2) == PolyFq(2, (1, 1, 1))
-    assert parse_poly("111101", 2) == PolyFq(2, (1, 0, 1, 1, 1, 1))
-    assert parse_poly("1", 2) == PolyFq(2, (1,))
-    assert parse_poly("t^2+2t+1", 3) == PolyFq(3, (1, 2, 1))
-    with pytest.raises(ValueError):
-        parse_poly("t^2+2t+1", 2)  # coefficient 2 over F_2
-
-
-def test_parse_rejects_junk():
-    for text in ["", "t+t", "t^1", "0", "t+2", "t-1", "t^2+0", "3t", "t^"]:
-        with pytest.raises(ValueError):
-            parse_poly(text, 2)
-    with pytest.raises(ValueError):
-        parse_poly("211", 3)  # leading digit 2: not monic
-    with pytest.raises(ValueError):
-        parse_poly("t+1", 6)  # modulus not prime
-
-
-def test_format_digits_needs_small_q():
-    with pytest.raises(ValueError):
-        format_poly_digits(PolyFq(11, (1, 1)))
 
 
 def _reference_product_keys(q, n, d, low_keys):

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcpoly.divisor_core import (
-    _full_vector,
     brute_force_T,
     exponents_monotone,
     pattern,
@@ -23,6 +23,7 @@ from hcpoly.hc_engine import (
     HCRecord,
     hc_table,
 )
+from hcpoly.irreducibles import count_irreducibles
 
 # hand-checked divisor maximum over F_2 for degrees 0..39
 _T_Q2 = [
@@ -110,16 +111,45 @@ def test_engine_matches_unpruned_oracle(q, max_degree):
         assert set(record.patterns) == set(o.patterns)
 
 
+def _padded_vector(p):
+    """The full exponent vector of p: classes 1..max, each zero-padded to
+    its irreducible count."""
+    classes = dict(p.classes)
+    flat = []
+    for k in range(1, max(classes, default=0) + 1):
+        exponents = classes.get(k, ())
+        flat.extend(exponents + (0,) * (count_irreducibles(p.q, k) - len(exponents)))
+    return tuple(flat)
+
+
+def _multinomial_count(p):
+    """realization_count by the multinomial of each padded class vector."""
+    total = 1
+    for k, exponents in p.classes:
+        vec = exponents + (0,) * (count_irreducibles(p.q, k) - len(exponents))
+        ways = math.factorial(len(vec))
+        for value in set(vec):
+            ways //= math.factorial(vec.count(value))
+        total *= ways
+    return total
+
+
 def test_pattern_order_is_canonical(records_q2):
     # descending lexicographic on the zero-padded full exponent vectors
     record = records_q2[39]
-    keys = []
-    for p in record.patterns:
-        flat = []
-        for k, _ in p.classes:
-            flat.extend(_full_vector(p, k))
-        keys.append(tuple(flat))
+    keys = [_padded_vector(p) for p in record.patterns]
     assert keys == sorted(keys, reverse=True)
+
+
+@pytest.mark.parametrize("q,max_degree", [(2, 160), (3, 80), (31, 80), (101, 130)])
+def test_engine_order_and_counts_against_padded_vectors(q, max_degree):
+    # the engine emits patterns unsorted and counts realizations without
+    # padding; both must agree with the padded-vector definitions
+    for record in hc_table(q, max_degree):
+        vectors = [_padded_vector(p) for p in record.patterns]
+        assert vectors == sorted(set(vectors), reverse=True), record.degree
+        for p in record.patterns:
+            assert realization_count(p) == _multinomial_count(p)
 
 
 def test_validation():
@@ -209,19 +239,28 @@ def test_edited_cache_recomputed(tmp_path):
     def first_class(record):
         return record["patterns"][0]["classes"][0]
 
+    def double_patterns(record):
+        # every count still re-derives, but a pattern is listed twice
+        record.update(
+            patterns=record["patterns"] * 2,
+            total_polynomials=str(2 * int(record["total_polynomials"])),
+        )
+
     edits = [
-        lambda record: record.update(total_polynomials="5"),
-        lambda record: record.update(marker="bogus"),
-        lambda record: record.update(marker="SHC"),
-        lambda record: record.update(marker="SSHC"),
-        lambda record: record.update(patterns=[]),
-        lambda record: first_class(record)["exponents"].__setitem__(0, 3.0),
-        lambda record: first_class(record).update(class_degree=True),
-        lambda record: first_class(record).update(class_degree=10**6),
+        (5, lambda record: record.update(total_polynomials="5")),
+        (5, lambda record: record.update(marker="bogus")),
+        (5, lambda record: record.update(marker="SHC")),
+        (5, lambda record: record.update(marker="SSHC")),
+        (5, lambda record: record.update(patterns=[])),
+        (5, lambda record: first_class(record)["exponents"].__setitem__(0, 3.0)),
+        (5, lambda record: first_class(record).update(class_degree=True)),
+        (5, lambda record: first_class(record).update(class_degree=10**6)),
+        (5, lambda record: record["patterns"].reverse()),
+        (4, double_patterns),
     ]
-    for edit in edits:
+    for degree, edit in edits:
         doc = json.loads(text)
-        edit(doc["records"][5])
+        edit(doc["records"][degree])
         path.write_text(json.dumps(doc))
         assert hc_table(2, 5, cache_dir=tmp_path) == fresh
         assert path.read_text() == text  # rejected and written afresh

@@ -60,7 +60,7 @@ def test_enumerate_q2_depth5_matches_known_keys(tbl_q2):
 def test_table_layout(tbl_q2):
     assert len(tbl_q2) == sum(count_irreducibles(2, n) for n in range(1, 9))
     for k in range(1, 9):
-        group = tbl_q2.primes_of_degree(k)
+        group = tbl_q2.primes[tbl_q2.degree_offsets[k] : tbl_q2.degree_offsets[k + 1]]
         assert len(group) == count_irreducibles(2, k)
         assert all(p.degree == k for p in group)
     keys = [order_key(p) for p in tbl_q2.primes]
@@ -71,8 +71,7 @@ def test_table_layout(tbl_q2):
         tbl_q2.prime(0)
     with pytest.raises(ValueError):
         tbl_q2.prime(len(tbl_q2) + 1)
-    with pytest.raises(ValueError):
-        tbl_q2.primes_of_degree(9)
+    assert tbl_q2.degree_offsets[-1] == len(tbl_q2)
 
 
 @pytest.mark.parametrize("q,depth", [(2, 6), (3, 4), (5, 3), (7, 3)])
