@@ -9,6 +9,9 @@ in one newline, with big integers as decimal strings and keys sorted, in
 the layout of json.dumps(doc, indent=2, sort_keys=True), so
 re-serializing a parsed document is byte-identical.  _emit_json writes it
 as a stream, so a long listing is never held whole in memory.
+
+Each command imports the layers it runs when it runs, so importing this
+module loads no other hcpoly module.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import sys
 from functools import reduce
 from json.encoder import encode_basestring_ascii
 from math import log
+from typing import TYPE_CHECKING
 
-from . import bounds, divisor_core, hc_engine, superior
-from .gf_poly import PolyFq, format_poly, is_prime, order_key, poly_mul
-from .irreducibles import count_irreducibles, ensure_prime_power, enumerate_irreducibles
+if TYPE_CHECKING:
+    from .hc_engine import HCRecord
 
 
 _INF = float("inf")
@@ -108,11 +111,16 @@ def _require_nonnegative(value: int, name: str) -> None:
 
 
 def _cmd_pi(args: argparse.Namespace) -> int:
+    from .irreducibles import count_irreducibles
+
     print(count_irreducibles(args.q, args.n))
     return 0
 
 
 def _cmd_irreducibles(args: argparse.Namespace) -> int:
+    from .gf_poly import format_poly, order_key
+    from .irreducibles import enumerate_irreducibles
+
     _require_nonnegative(args.max_degree, "max-degree")
     tbl = enumerate_irreducibles(args.q, args.max_degree)
     if args.format == "json":
@@ -134,9 +142,10 @@ def _cmd_irreducibles(args: argparse.Namespace) -> int:
 
 
 def _cmd_s_set(args: argparse.Namespace) -> int:
+    from .superior import enumerate_spoints
+
     _require_nonnegative(args.count, "count")
-    ensure_prime_power(args.q)
-    points = superior.enumerate_spoints(args.count)
+    points = enumerate_spoints(args.count)
     print(f"s\tr\tx_approx(q={args.q}, display only)")
     for point in points:
         x = point.s * log(args.q) / log(1 + 1 / point.r)
@@ -144,11 +153,26 @@ def _cmd_s_set(args: argparse.Namespace) -> int:
     return 0
 
 
+# shc prints the pi(s) + 1 members of the family, each with its tau and
+# multiplicity, so its output grows faster than pi(s)**2 digits: q=2 s=17
+# (pi = 7,710) prints 43 MB.  The ceiling admits that, and refuses q=101
+# s=3 (pi = 343,400), whose output would run to tens of GB.
+_SHC_MAX_FAMILY = 10_000
+
+
 def _cmd_shc(args: argparse.Namespace) -> int:
-    point = superior.SPoint(args.s, args.r)
-    h = superior.shc_pattern(point, args.q)
-    family = superior.sshc_family(point, args.q)
+    from .irreducibles import count_irreducibles
+    from .superior import SPoint, shc_pattern, sshc_family
+
+    point = SPoint(args.s, args.r)
     pi_s = count_irreducibles(args.q, point.s)
+    if pi_s > _SHC_MAX_FAMILY:
+        raise ValueError(
+            f"the family at s={point.s} has pi(s) = {pi_s} members, "
+            f"over the ceiling of {_SHC_MAX_FAMILY}"
+        )
+    h = shc_pattern(point, args.q)
+    family = sshc_family(point, args.q)
     print(f"point: s={point.s} r={point.r}")
     print(f"exponents: {list(h.exponents)}")
     print(f"degree: {h.degree}")
@@ -162,23 +186,19 @@ def _cmd_shc(args: argparse.Namespace) -> int:
     return 0
 
 
-_MARKER_PREFIX = {
-    hc_engine.MARKER_NONE: "",
-    hc_engine.MARKER_SSHC: "*",
-    hc_engine.MARKER_SHC: "**",
-}
-
-
 def _cache_dir(args: argparse.Namespace) -> str | None:
     return os.environ.get("HCPOLY_CACHE") or args.cache
 
 
-def _top_class_degree(records: list[hc_engine.HCRecord]) -> int:
+def _top_class_degree(records: list[HCRecord]) -> int:
     """Highest irreducible degree used by any pattern of these records."""
     return max((k for r in records for p in r.patterns for k, _ in p.classes), default=0)
 
 
 def _cmd_hc_table(args: argparse.Namespace) -> int:
+    from . import divisor_core, hc_engine
+    from .irreducibles import enumerate_irreducibles
+
     _require_nonnegative(args.max_degree, "max-degree")
     records = hc_engine.hc_table(args.q, args.max_degree, cache_dir=_cache_dir(args))
     need_rows = args.format == "table" or args.explicit
@@ -186,7 +206,7 @@ def _cmd_hc_table(args: argparse.Namespace) -> int:
     if need_rows:
         tbl = enumerate_irreducibles(args.q, _top_class_degree(records))
     if args.format == "json":
-        def record_doc(record: hc_engine.HCRecord) -> dict:
+        def record_doc(record: HCRecord) -> dict:
             doc = hc_engine._record_to_json(record)
             if args.explicit:
                 doc["polynomials"] = (
@@ -199,11 +219,16 @@ def _cmd_hc_table(args: argparse.Namespace) -> int:
         docs = map(record_doc, records)
         _emit_json({"q": args.q, "max_degree": args.max_degree, "records": docs})
         return 0
+    marker_prefix = {
+        hc_engine.MARKER_NONE: "",
+        hc_engine.MARKER_SSHC: "*",
+        hc_engine.MARKER_SHC: "**",
+    }
     print("f\tdeg\ttau")
     for record in records:
         if record.degree == 0:
             continue  # the empty product; the published layout starts at degree 1
-        prefix = _MARKER_PREFIX[record.marker]
+        prefix = marker_prefix[record.marker]
         for p in record.patterns:
             for form in divisor_core.realize_polynomials(p, tbl):
                 print(f"{prefix}{divisor_core.format_factored(form)}\t{record.degree}\t{record.tau}")
@@ -211,6 +236,8 @@ def _cmd_hc_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_tmax(args: argparse.Namespace) -> int:
+    from . import bounds, hc_engine, superior
+
     _require_nonnegative(args.n, "n")
     records = hc_engine.hc_table(args.q, args.n)
     print(f"T({args.n}) = {records[args.n].tau}")
@@ -239,6 +266,8 @@ def _cmd_tmax(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from . import bounds
+
     _require_nonnegative(args.max_degree, "max-degree")
     if args.max_degree < 1:
         raise ValueError("--max-degree must be at least 1 for certification")
@@ -272,7 +301,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maximizer_docs(records: list[hc_engine.HCRecord]) -> list[dict]:
+def _maximizer_docs(records: list[HCRecord]) -> list[dict]:
+    from . import hc_engine
+
     return [
         {
             "degree": record.degree,
@@ -286,6 +317,10 @@ def _maximizer_docs(records: list[hc_engine.HCRecord]) -> list[dict]:
 
 
 def _run_verify_checks(q: int, max_degree: int) -> tuple[list[tuple[str, bool, str]], list]:
+    from . import divisor_core, hc_engine
+    from .gf_poly import PolyFq, is_prime, poly_mul
+    from .irreducibles import enumerate_irreducibles
+
     checks = []
     records = hc_engine.hc_table(q, max_degree)
 
@@ -449,9 +484,18 @@ _FATAL = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .irreducibles import ensure_prime_power
+
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # tau passes the interpreter's int-to-str digit limit (4,300 by default)
+    # at paper-scale degrees, so the limit is lifted while a command runs and
+    # restored after; it still guards the parse of the arguments above.
+    # Builds of Python 3.10 before 3.10.7 have no limit.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         ensure_prime_power(args.q)
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
@@ -467,6 +511,9 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(_FATAL) as exc:
         print(f"hcpoly: {_FATAL[type(exc)]}", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcpoly import cli, divisor_core, hc_engine
+from hcpoly import cli, divisor_core, hc_engine, superior
 from hcpoly.cli import main
+from hcpoly.irreducibles import count_irreducibles
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,6 +114,39 @@ def test_shc(capsys):
     )
     code, _, err = run(capsys, "shc", "--q", "2", "--s", "0", "--r", "1")
     assert code == 1 and err.startswith("hcpoly: ")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_shc_prints_past_the_digit_limit(capsys):
+    # the lowest limit the interpreter allows stands in for the default
+    # 4,300, which shc --q 2 --s 17 --r 1 passes; tau here has 781 digits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "shc", "--q", "2", "--s", "14", "--r", "1")
+        assert sys.get_int_max_str_digits() == 640
+        code_bad, _, _ = run(capsys, "shc", "--q", "2", "--s", "0", "--r", "1")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, err, code_bad) == (0, "", 1)
+    lines = out.splitlines()
+    tau = lines[3].removeprefix("tau: ")
+    assert len(tau) > 640
+    assert int(tau) == superior.shc_pattern(superior.SPoint(14, 1), 2).tau
+    assert len(lines) == 5 + 1 + count_irreducibles(2, 14)
+
+
+def test_shc_family_ceiling(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("built a refused family")
+
+    monkeypatch.setattr(superior, "shc_pattern", never)
+    monkeypatch.setattr(superior, "sshc_family", never)
+    code, out, err = run(capsys, "shc", "--q", "101", "--s", "3", "--r", "1")
+    assert (code, out) == (1, "")
+    assert err == "hcpoly: the family at s=3 has pi(s) = 343400 members, over the ceiling of 10000\n"
+    assert count_irreducibles(2, 17) <= cli._SHC_MAX_FAMILY < count_irreducibles(101, 3)
 
 
 def test_hc_table_matches_fixture(capsys):

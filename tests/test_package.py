@@ -1,6 +1,9 @@
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hcpoly
 
@@ -27,3 +30,52 @@ def test_traced_names_are_exported(monkeypatch):
     for name in (*tracer.TRACED, "iter_spoints"):
         assert callable(getattr(hcpoly, name, None)), name
         assert name in hcpoly.__all__, name
+
+
+def _fresh(code: str) -> str:
+    """stdout of code run in a new interpreter that imports hcpoly from this tree."""
+    src = str(Path(hcpoly.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout
+
+
+_LOADED = "print(*sorted(m for m in sys.modules if m.startswith('hcpoly')))"
+
+
+def test_import_loads_no_layer():
+    assert _fresh(f"import hcpoly, hcpoly.cli\n{_LOADED}").split() == ["hcpoly", "hcpoly.cli"]
+
+
+def test_command_loads_only_its_layers():
+    code = f"from hcpoly.cli import main\nmain(['pi', '--q', '2', '--n', '5'])\n{_LOADED}"
+    assert _fresh(code).split() == [
+        "6", "hcpoly", "hcpoly.cli", "hcpoly.gf_poly", "hcpoly.irreducibles"
+    ]
+
+
+def test_exports_are_their_home_objects():
+    code = """
+import hcpoly
+names = {}
+exec("from hcpoly import *", names)
+listed = set(dir(hcpoly))
+for name in hcpoly.__all__:
+    obj = names[name]
+    home = sys.modules[obj.__module__]
+    assert home.__name__.startswith("hcpoly."), name
+    assert getattr(home, name) is obj is getattr(hcpoly, name), name
+    assert name in listed, name
+print(len(hcpoly.__all__))
+"""
+    assert _fresh(code).split() == [str(len(hcpoly.__all__))]
+
+
+def test_unknown_name_is_missing():
+    assert getattr(hcpoly, "nope", None) is None
+    with pytest.raises(AttributeError, match="nope"):
+        hcpoly.nope
