@@ -15,6 +15,8 @@ exponentiating; no floats are involved in any verdict.
 The anchors come from superior.families, walked once up to the largest
 degree certified: the anchor of N is a bisection on the superior degrees
 of that list, and its family member is read from the list, not rebuilt.
+T(N) itself comes from hc_engine's class knapsack, values only, unless
+a computed table is passed in.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import log
 
-from .hc_engine import HCRecord, hc_table
+from .hc_engine import HCRecord, _maxima
 from .irreducibles import ensure_prime_power
 from .superior import SPoint, SshcEntry, _exponent_at, families
 
@@ -150,11 +152,14 @@ def verify_T_bounds(
 ) -> list[TBoundCertificate]:
     """Certificates for every degree 1..max_degree.
 
-    records may be passed to reuse a computed table; otherwise one is
-    built.  All returned certificates hold (ok is True) unless the
-    implementation is broken somewhere, which is the point of running it.
+    records may be passed to certify a computed table's taus; otherwise
+    T comes from hc_engine's class knapsack, which builds no patterns.
+    All returned certificates hold (ok is True) unless the implementation
+    is broken somewhere, which is the point of running it.
     """
-    if records is None:
-        records = hc_table(q, max_degree)
+    ensure_prime_power(q)
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    T = _maxima(q, max_degree) if records is None else [r.tau for r in records]
     walk = families(q, max_degree)
-    return [_certificate(walk, n, records[n].tau) for n in range(1, max_degree + 1)]
+    return [_certificate(walk, n, T[n]) for n in range(1, max_degree + 1)]

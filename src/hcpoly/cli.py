@@ -158,11 +158,16 @@ def _cmd_s_set(args: argparse.Namespace) -> int:
 # (pi = 7,710) prints 43 MB.  The ceiling admits that, and refuses q=101
 # s=3 (pi = 343,400), whose output would run to tens of GB.
 _SHC_MAX_FAMILY = 10_000
+# The superior degree bounds the bits of tau, since tau(f) <= 2**deg(f),
+# so with the pi(s) ceiling it bounds the output.  The ceiling admits q=2
+# s=17 r=1 (degree 262,900) and q=4 s=8 r=1 (degree 87,464), and refuses
+# q=2 s=1 r=200, whose tau is a product over about 2**132 irreducibles.
+_SHC_MAX_DEGREE = 300_000
 
 
 def _cmd_shc(args: argparse.Namespace) -> int:
     from .irreducibles import count_irreducibles
-    from .superior import SPoint, shc_pattern, sshc_family
+    from .superior import SPoint, _exponents, shc_pattern, sshc_family
 
     point = SPoint(args.s, args.r)
     pi_s = count_irreducibles(args.q, point.s)
@@ -171,6 +176,14 @@ def _cmd_shc(args: argparse.Namespace) -> int:
             f"the family at s={point.s} has pi(s) = {pi_s} members, "
             f"over the ceiling of {_SHC_MAX_FAMILY}"
         )
+    degree = 0
+    for k, a in enumerate(_exponents(point.s, point.r), 1):
+        degree += k * a * count_irreducibles(args.q, k)
+        if degree > _SHC_MAX_DEGREE:
+            raise ValueError(
+                f"the superior maximizer at s={point.s} r={point.r} "
+                f"passes the degree ceiling of {_SHC_MAX_DEGREE}"
+            )
     h = shc_pattern(point, args.q)
     family = sshc_family(point, args.q)
     print(f"point: s={point.s} r={point.r}")
@@ -235,18 +248,30 @@ def _cmd_hc_table(args: argparse.Namespace) -> int:
     return 0
 
 
+# The time of the class knapsack behind tmax and certify grows as about
+# N**2.3: at q=2 it took 4.1 s at N=5,000 and 20 s at N=10,000 on a 2-CPU
+# x86-64 host, so N=100,000 would run for hours.
+_MAX_DEGREE = 10_000
+
+
+def _require_degree(value: int, name: str) -> None:
+    _require_nonnegative(value, name)
+    if value > _MAX_DEGREE:
+        raise ValueError(f"--{name} {value} is over the ceiling of {_MAX_DEGREE}")
+
+
 def _cmd_tmax(args: argparse.Namespace) -> int:
     from . import bounds, hc_engine, superior
 
-    _require_nonnegative(args.n, "n")
-    records = hc_engine.hc_table(args.q, args.n)
-    print(f"T({args.n}) = {records[args.n].tau}")
+    _require_degree(args.n, "n")
+    T = hc_engine._maxima(args.q, args.n)[args.n]
+    print(f"T({args.n}) = {T}")
     if not args.bounds:
         return 0
     if args.n == 0:
         print("no anchor decomposition at degree 0 (the empty product)")
         return 0
-    cert = bounds._certificate(superior.families(args.q, args.n), args.n, records[args.n].tau)
+    cert = bounds._certificate(superior.families(args.q, args.n), args.n, T)
     point = cert.point
     print(
         f"anchor: s={point.s} r={point.r} v={cert.v} u={cert.u} "
@@ -268,7 +293,7 @@ def _cmd_tmax(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     from . import bounds
 
-    _require_nonnegative(args.max_degree, "max-degree")
+    _require_degree(args.max_degree, "max-degree")
     if args.max_degree < 1:
         raise ValueError("--max-degree must be at least 1 for certification")
     certs = bounds.verify_T_bounds(args.q, args.max_degree)

@@ -1,10 +1,16 @@
-"""Divisor-maximum table by dynamic programming over prime slots.
+"""Divisor maxima: T(n) by a class knapsack, the full table by a slot DP.
 
-The search space is one slot per usable irreducible, ordered by degree.
-Every maximizer assigns non-increasing exponents along that slot order
-(a higher exponent on a higher-degree irreducible could be swapped down
-to reach the same tau at lower degree, contradicting maximality at the
-exact degree, since the maximum is strictly increasing in the degree).
+_maxima gives T(n) alone, with one knapsack stage per class of
+irreducibles of one degree, each class spread evenly (its docstring has
+the proof); certify and tmax read T from it.  hc_table, which also
+lists every maximizing pattern, still runs the slot DP below.
+
+The slot DP's search space is one slot per usable irreducible, ordered
+by degree.  Every maximizer assigns non-increasing exponents along that
+slot order (a higher exponent on a higher-degree irreducible could be
+swapped down to reach the same tau at lower degree, contradicting
+maximality at the exact degree, since the maximum is strictly
+increasing in the degree).
 The DP state is (slot index, remaining degree budget, exponent cap); one
 memoized pass yields T(n) for every n at once and a backtracking pass
 recovers every optimal exponent assignment, which is a factorization
@@ -55,27 +61,63 @@ class HCRecord:
     marker: str = MARKER_NONE
 
 
-def _slot_degrees(q: int, max_degree: int) -> list[int]:
-    """Degrees of the irreducible slots the DP ranges over, ascending.
+def _class_cutoff(q: int, max_degree: int) -> int:
+    """The highest irreducible degree a maximizer of degree <= max_degree uses.
 
-    Classes are taken whole up to the smallest b whose cumulative degree
-    mass sum(a * pi(a), a <= b) reaches max_degree: any maximizer of
-    degree <= max_degree fits, because touching class b+1 requires filling
-    all lower classes first, which already exceeds the budget.  Slots per
-    class are additionally capped at max_degree // class degree, which no
-    pattern within budget can exceed.
+    This is the smallest b whose cumulative degree mass
+    sum(a * pi(a), a <= b) reaches max_degree.  Along the degree order a
+    maximizer's exponents never rise (the engine's module docstring), so
+    touching class b+1 requires every irreducible of degree <= b to have
+    exponent at least 1, which already exceeds the budget.
     """
     mass = 0
     b = 0
     while mass < max_degree:
         b += 1
         mass += b * count_irreducibles(q, b)
-    if mass < max_degree:
-        raise AssertionError(f"slot cutoff failed for q={q}, max_degree={max_degree}")
+    return b
+
+
+def _slot_degrees(q: int, max_degree: int) -> list[int]:
+    """Degrees of the irreducible slots the DP ranges over, ascending.
+
+    Classes 1.._class_cutoff are taken whole, except that the slots per
+    class are capped at max_degree // class degree, which no pattern
+    within budget can exceed.
+    """
     slots = []
-    for k in range(1, b + 1):
+    for k in range(1, _class_cutoff(q, max_degree) + 1):
         slots.extend([k] * min(count_irreducibles(q, k), max_degree // k))
     return slots
+
+
+def _maxima(q: int, max_degree: int) -> list[int]:
+    """T(n) for every degree 0..max_degree, by one knapsack stage per class.
+
+    Even spread (Ramanujan, Highly composite numbers, Proc. LMS 1915): a
+    maximizer spreads each class evenly.  Let two irreducibles of one
+    degree carry exponents e > e' + 1.  Moving one unit from the first to
+    the second keeps the degree and turns the factor (e+1)(e'+1) of tau
+    into e(e'+2), larger by e - e' - 1 > 0.  So in a maximizer the c
+    exponents of a class differ by at most 1, and with total m and
+    (a, b) = divmod(m, c) the class contributes exactly
+    gain_k(m) = (a+2)**b * (a+1)**(c-b).  T(n) is then the largest
+    product of gain_k(m_k) over class totals with sum(k * m_k) = n,
+    which the stages
+
+        T_k[n] = max over m <= n // k of T_{k-1}[n - k*m] * gain_k(m)
+
+    reach, 0 standing for an unreachable degree.  Classes past
+    _class_cutoff are left out, since no maximizer of degree
+    <= max_degree uses them, and class 1 makes every degree reachable.
+    """
+    T = [1] + [0] * max_degree
+    for k in range(1, _class_cutoff(q, max_degree) + 1):
+        c = count_irreducibles(q, k)
+        spreads = (divmod(m, c) for m in range(max_degree // k + 1))
+        gains = [(a + 2) ** b * (a + 1) ** (c - b) for a, b in spreads]
+        T = [max(T[n - k * m] * gains[m] for m in range(n // k + 1)) for n in range(max_degree + 1)]
+    return T
 
 
 def _compute_records(q: int, max_degree: int) -> list[HCRecord]:

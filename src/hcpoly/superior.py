@@ -136,6 +136,15 @@ def _exponent_at(s: int, r: int, k: int) -> int:
     return lo
 
 
+def _exponents(s: int, r: int) -> Iterator[int]:
+    """The superior exponents at (s, r) on degrees k = 1, 2, ..., up to
+    the last nonzero one; they do not rise with k."""
+    k = 1
+    while a := _exponent_at(s, r, k):
+        yield a
+        k += 1
+
+
 def exponent_at(point: SPoint, q: int, k: int) -> int:
     """Exponent taken on degree-k irreducibles by the superior maximizer."""
     ensure_prime_power(q)
@@ -164,14 +173,7 @@ class ShcPolynomial:
 def shc_pattern(point: SPoint, q: int) -> ShcPolynomial:
     """Build the superior maximizer at this grid point by closed formula."""
     ensure_prime_power(q)
-    exponents = []
-    k = 1
-    while True:
-        a = _exponent_at(point.s, point.r, k)
-        if a == 0:
-            break
-        exponents.append(a)
-        k += 1
+    exponents = list(_exponents(point.s, point.r))
     if len(exponents) < point.s or exponents[point.s - 1] != point.r:
         raise AssertionError(f"exponent formula broken at {point}: {exponents}")
     degree = 0

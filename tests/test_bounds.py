@@ -209,7 +209,22 @@ def test_epsilon_sits_inside_bracket(records_q2):
         assert lower.approx() - 1e-9 <= eps <= upper.approx() + 1e-9
 
 
-def test_verify_builds_table_when_missing():
+def test_verify_builds_table_when_missing(records_q2):
     certs = verify_T_bounds(2, 10)
     assert len(certs) == 10
     assert all(c.ok for c in certs)
+    assert certs == verify_T_bounds(2, 10, records_q2[:11])
+
+
+@pytest.mark.parametrize("q,max_degree", [(2, 1280), (3, 640)])
+def test_certificates_hold_far_out(q, max_degree):
+    certs = verify_T_bounds(q, max_degree)
+    assert [c.N for c in certs] == list(range(1, max_degree + 1))
+    assert all(c.ok for c in certs)
+
+
+def test_verify_validation():
+    with pytest.raises(ValueError):
+        verify_T_bounds(6, 5)
+    with pytest.raises(ValueError):
+        verify_T_bounds(2, -1)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcpoly import cli, divisor_core, hc_engine, superior
+from hcpoly import bounds, cli, divisor_core, hc_engine, superior
 from hcpoly.cli import main
 from hcpoly.irreducibles import count_irreducibles
 
@@ -147,6 +147,49 @@ def test_shc_family_ceiling(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err == "hcpoly: the family at s=3 has pi(s) = 343400 members, over the ceiling of 10000\n"
     assert count_irreducibles(2, 17) <= cli._SHC_MAX_FAMILY < count_irreducibles(101, 3)
+
+
+def test_shc_degree_ceiling(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("built a refused maximizer")
+
+    monkeypatch.setattr(superior, "shc_pattern", never)
+    monkeypatch.setattr(superior, "sshc_family", never)
+    for r in ("200", "1000000000"):
+        code, out, err = run(capsys, "shc", "--q", "2", "--s", "1", "--r", r)
+        assert (code, out) == (1, "")
+        assert err == f"hcpoly: the superior maximizer at s=1 r={r} passes the degree ceiling of 300000\n"
+    monkeypatch.undo()
+    admitted = [superior.shc_pattern(superior.SPoint(s, 1), q).degree for q, s in ((2, 17), (4, 8))]
+    assert admitted == [262_900, 87_464]
+    assert max(admitted) <= cli._SHC_MAX_DEGREE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tmax", "--q", "2", "--n", "10001"],
+        ["tmax", "--q", "2", "--n", "100000", "--bounds"],
+        ["certify", "--q", "2", "--max-degree", "10001"],
+        ["certify", "--q", "1009", "--max-degree", "100000"],
+    ],
+)
+def test_degree_ceiling(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("built a refused table")
+
+    for module, name in (
+        (hc_engine, "_maxima"),
+        (hc_engine, "hc_table"),
+        (bounds, "_maxima"),
+        (superior, "families"),
+        (bounds, "families"),
+    ):
+        monkeypatch.setattr(module, name, never)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"hcpoly: {argv[3]} {argv[4]} is over the ceiling of 10000\n"
+    assert cli._MAX_DEGREE == 10_000
 
 
 def test_hc_table_matches_fixture(capsys):
@@ -504,6 +547,10 @@ _DIGESTS = {
         "89ff60291f077ae1392350f5691ef3649a06f3f79da0e4daa1a6bb7766046e22",
     "tmax --q 3 --n 100 --bounds":
         "5ba2fa89f70c0b78c9fe07b0243af9f2900a81ed54cbbecc888c07e7e2d1ac1b",
+    "certify --q 2 --max-degree 320":
+        "a39afccb2886084f6542646f1ab7d2b312f58c83704046d9f7b46d2f11a5fc0e",
+    "tmax --q 2 --n 320 --bounds":
+        "242e00f6fbf497eb19f55c2cbd7dddb09490ecc8e2bc16756c1fe1ac42c8597b",
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hcpoly.divisor_core import (
     brute_force_T,
+    raw_polynomial_T,
     exponents_monotone,
     pattern,
     pattern_degree,
@@ -21,6 +22,7 @@ from hcpoly.hc_engine import (
     MARKER_SHC,
     MARKER_SSHC,
     HCRecord,
+    _maxima,
     hc_table,
 )
 from hcpoly.irreducibles import count_irreducibles
@@ -150,6 +152,20 @@ def test_engine_order_and_counts_against_padded_vectors(q, max_degree):
         assert vectors == sorted(set(vectors), reverse=True), record.degree
         for p in record.patterns:
             assert realization_count(p) == _multinomial_count(p)
+
+
+@pytest.mark.parametrize(
+    "q,max_degree", [(2, 160), (2, 320), (3, 160), (31, 160), (101, 200), (4, 60), (5, 100)]
+)
+def test_knapsack_matches_slot_dp(q, max_degree):
+    assert _maxima(q, max_degree) == [r.tau for r in hc_table(q, max_degree)]
+
+
+@pytest.mark.parametrize("q,max_degree", [(2, 14), (3, 8), (5, 5), (7, 4), (13, 3)])
+def test_knapsack_matches_raw_oracle(q, max_degree):
+    # the raw sieve counts divisors polynomial by polynomial, with no
+    # pattern model at all
+    assert _maxima(q, max_degree) == [m.tau for m in raw_polynomial_T(q, max_degree)]
 
 
 def test_validation():

@@ -14,7 +14,7 @@ from operator import xor
 
 import pytest
 
-from hcpoly.hc_engine import hc_table
+from hcpoly.hc_engine import _maxima, hc_table
 
 # q -> (p, the coefficients of x^0 .. x^(m-1) in a monic irreducible of
 # degree m over F_p): F_4 = F_2[x]/(x^2+x+1), F_8 = F_2[x]/(x^3+x+1),
@@ -105,5 +105,7 @@ def raw_maxima(q: int, max_degree: int) -> list[tuple[int, int]]:
 # count_irreducibles(4, 2) shows there and at no lower degree
 @pytest.mark.parametrize("q, max_degree", [(4, 9), (8, 4), (9, 4)])
 def test_raw_count_at_prime_powers(q, max_degree):
+    raw = raw_maxima(q, max_degree)
     records = hc_table(q, max_degree)
-    assert [(r.tau, r.total_polynomials) for r in records] == raw_maxima(q, max_degree)
+    assert [(r.tau, r.total_polynomials) for r in records] == raw
+    assert _maxima(q, max_degree) == [tau for tau, _ in raw]
