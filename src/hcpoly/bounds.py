@@ -14,7 +14,8 @@ exponentiating; no floats are involved in any verdict.
 
 The anchors come from superior.families, walked once up to the largest
 degree certified: the anchor of N is a bisection on the superior degrees
-of that list, and its family member is read from the list, not rebuilt.
+of that list, which holds one entry per point, and the one family member
+a certificate needs is built by formula from its family's bottom.
 T(N) itself comes from hc_engine's class knapsack, values only, unless
 a computed table is passed in.
 """
@@ -27,7 +28,7 @@ from math import log
 
 from .hc_engine import HCRecord, _maxima
 from .irreducibles import ensure_prime_power
-from .superior import SPoint, SshcEntry, _exponent_at, families
+from .superior import SPoint, WalkEntry, _exponent_at, families
 
 
 @dataclass(frozen=True)
@@ -77,20 +78,20 @@ class TBoundCertificate:
         return log(self.anchor_tau) - log(self.T)
 
 
-def _anchor(walk: list, N: int) -> tuple[SPoint, tuple[SshcEntry, ...], int, int]:
-    """The first point of the walk whose superior degree reaches N, its
-    family, and (v, u) with deg(h) - N = v*s + u, 0 <= u < s.
+def _anchor(walk: list[WalkEntry], N: int) -> tuple[WalkEntry, int, int]:
+    """The walk's entry for the first point whose superior degree reaches
+    N, and (v, u) with deg(h) - N = v*s + u, 0 <= u < s.
 
     walk is superior.families(q, M) for some M >= N, whose tops strictly
     increase, so bisection finds the point.  The family structure
     guarantees 0 <= v < pi(s) as well, so the anchor family member at
     degree N - u exists.
     """
-    point, family = walk[bisect_left(walk, N, key=lambda pf: pf[1][0].degree)]
-    v, u = divmod(family[0].degree - N, point.s)
-    if not 0 <= v < len(family) - 1:
-        raise AssertionError(f"gap {family[0].degree - N} too wide at {point}")
-    return point, family, v, u
+    top = walk[bisect_left(walk, N, key=lambda e: e.degree)]
+    v, u = divmod(top.degree - N, top.point.s)
+    if not 0 <= v < top.pi_s:
+        raise AssertionError(f"gap {top.degree - N} too wide at {top.point}")
+    return top, v, u
 
 
 def locate_anchor(q: int, N: int) -> tuple[SPoint, int, int]:
@@ -102,8 +103,8 @@ def locate_anchor(q: int, N: int) -> tuple[SPoint, int, int]:
     ensure_prime_power(q)
     if N < 1:
         raise ValueError(f"anchor decomposition needs N >= 1, got {N}")
-    point, _, v, u = _anchor(families(q, N), N)
-    return point, v, u
+    top, v, u = _anchor(families(q, N), N)
+    return top.point, v, u
 
 
 def _bracket(point: SPoint, u: int) -> tuple[LogBound, LogBound]:
@@ -130,21 +131,21 @@ def epsilon_bounds(point: SPoint, q: int, u: int) -> tuple[LogBound, LogBound]:
     return _bracket(point, u)
 
 
-def _certificate(walk: list, N: int, T: int) -> TBoundCertificate:
+def _certificate(walk: list[WalkEntry], N: int, T: int) -> TBoundCertificate:
     """The certificate for T = T(N), anchored on walk = superior.families(q, M), M >= N.
 
     The verdicts are lower <= eps, eps <= upper and, for the width,
     upper - log(4/3) <= lower, with eps = log(tau(h)/T); at u = 0 the
     first two say tau(h) == T.
     """
-    point, family, v, u = _anchor(walk, N)
-    anchor = family[v]
-    if anchor.degree - u != N:
-        raise AssertionError(f"anchor degree mismatch at N={N}: {anchor.degree} - {u}")
-    lower, upper = _bracket(point, u)
-    eps = LogBound(anchor.tau, T, 1, 1)
+    top, v, u = _anchor(walk, N)
+    degree, tau = top.member(v)
+    if degree - u != N:
+        raise AssertionError(f"anchor degree mismatch at N={N}: {degree} - {u}")
+    lower, upper = _bracket(top.point, u)
+    eps = LogBound(tau, T, 1, 1)
     verdicts = (lower <= eps, eps <= upper, LogBound(3 * upper.num, 4 * upper.den, 1, 1) <= lower)
-    return TBoundCertificate(N, point, v, u, anchor.degree, anchor.tau, T, *verdicts)
+    return TBoundCertificate(N, top.point, v, u, degree, tau, T, *verdicts)
 
 
 def verify_T_bounds(

@@ -18,19 +18,20 @@ pattern, already in canonical order.  All arithmetic is exact.
 
 Records carry the markers of the distinguished families: SHC for degrees
 holding a superior maximizer, SSHC for the strict half-step members in
-between, read from superior.families, the grid walk that also anchors
-the certificates of bounds.  A versioned JSON cache, one compact line
-per file (big integers as decimal strings), makes repeated table
-requests cheap; writes are atomic via os.replace.
+between.  Both come from superior.families, the grid walk that also
+anchors the certificates of bounds: the SHC degrees are its tops, and a
+family's members step down from its top by s to its bottom, so the SSHC
+degrees are ranges, with no member built.  A versioned JSON cache, one
+compact line per file (big integers as decimal strings), makes repeated
+table requests cheap; writes are atomic via os.replace.  The cache code
+imports json and tempfile itself, so importing the engine loads
+neither.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from .divisor_core import (
     ExponentPattern,
@@ -194,15 +195,18 @@ def _marker_degrees(q: int, max_degree: int) -> tuple[set[int], set[int]]:
 
     Reads superior.families: each family contributes its superior
     maximizer's degree (SHC) and the degrees of its strict intermediate
-    members (SSHC); the walk's docstring proves that it lists every
-    member of degree <= max_degree.
+    members (SSHC), top - v*s for 0 < v < pi(s), from the first at or
+    below max_degree down to just above the bottom; the walk's docstring
+    proves that it lists every member of degree <= max_degree.
     """
     shc_degrees: set[int] = set()
     sshc_degrees: set[int] = set()
-    for _, family in families(q, max_degree):
-        if family[0].degree <= max_degree:
-            shc_degrees.add(family[0].degree)
-        sshc_degrees.update(e.degree for e in family[1:-1] if e.degree <= max_degree)
+    for top in families(q, max_degree):
+        s = top.point.s
+        if top.degree <= max_degree:
+            shc_degrees.add(top.degree)
+        first = top.degree - s * max(1, -(-(top.degree - max_degree) // s))
+        sshc_degrees.update(range(first, top.degree - s * top.pi_s, -s))
     overlap = shc_degrees & sshc_degrees
     if overlap:
         raise AssertionError(f"degree marked both ways: {sorted(overlap)}")
@@ -290,20 +294,23 @@ def _consistent(record: HCRecord) -> bool:
     )
 
 
-def _cache_path(cache_dir: str | Path, q: int, max_degree: int) -> Path:
+def _cache_path(cache_dir: str | os.PathLike[str], q: int, max_degree: int) -> str:
     name = f"hc_table_q{q}_n{max_degree}_v{CACHE_FORMAT_VERSION}.json"
-    return Path(cache_dir) / name
+    return os.path.join(cache_dir, name)
 
 
-def _load_cache(path: Path, q: int, max_degree: int) -> list[HCRecord] | None:
+def _load_cache(path: str, q: int, max_degree: int) -> list[HCRecord] | None:
     """The cached table, or None when the file is unreadable, stale or
     malformed, when a record's tau, degree or polynomial count does not
     re-derive from its patterns, when its patterns are out of order or
     repeated, or when a marker differs from the grid walk's.  The walk
     does not go through annotate_markers, because perfbench's tracer
     counts a table call that calls it as a cache miss."""
+    import json
+
     try:
-        doc = json.loads(path.read_text())
+        with open(path) as handle:
+            doc = json.load(handle)
     except (OSError, ValueError, RecursionError):
         return None
     if (
@@ -327,15 +334,19 @@ def _load_cache(path: Path, q: int, max_degree: int) -> list[HCRecord] | None:
     return records
 
 
-def _store_cache(path: Path, q: int, max_degree: int, records: list[HCRecord]) -> None:
+def _store_cache(path: str, q: int, max_degree: int, records: list[HCRecord]) -> None:
+    import json
+    import tempfile
+
     doc = {
         "format_version": CACHE_FORMAT_VERSION,
         "q": q,
         "max_degree": max_degree,
         "records": [_record_to_json(r) for r in records],
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    directory = os.path.dirname(path) or os.curdir
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         # one compact line: json.dump to a file never takes the C encoder
         with os.fdopen(fd, "w") as handle:
@@ -349,7 +360,9 @@ def _store_cache(path: Path, q: int, max_degree: int, records: list[HCRecord]) -
         raise
 
 
-def hc_table(q: int, max_degree: int, cache_dir: str | Path | None = None) -> list[HCRecord]:
+def hc_table(
+    q: int, max_degree: int, cache_dir: str | os.PathLike[str] | None = None
+) -> list[HCRecord]:
     """Records for every degree 0..max_degree, markers included.
 
     With cache_dir set, a valid cached table is returned as-is and fresh

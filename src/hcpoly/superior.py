@@ -14,7 +14,10 @@ superior polynomials and their half-step relatives sitting at each point.
 families(q, max_degree) is the one walk of the grid that the rest of the
 package reads: the table's SHC/SSHC markers and every anchor and
 certificate of bounds come from its list, built once per table or
-degree.  All decisions are big-integer comparisons: x(a) < x(b) iff
+degree.  The list keeps one entry per walked point, not its members:
+each half-step member follows by formula from its family's two ends, as
+in Ramanujan's construction (Highly composite numbers, Proc. LMS 1915).
+All decisions are big-integer comparisons: x(a) < x(b) iff
 
     (rb+1)**sa * ra**sb < (ra+1)**sb * rb**sa,
 
@@ -218,9 +221,39 @@ def sshc_family(point: SPoint, q: int) -> tuple[SshcEntry, ...]:
     return tuple(entries)
 
 
-def families(q: int, max_degree: int) -> list[tuple[SPoint, tuple[SshcEntry, ...]]]:
-    """The grid walk: (point, sshc_family(point, q)) in increasing order,
-    up to and including the first point whose superior degree exceeds
+class WalkEntry(NamedTuple):
+    """One walked point: its superior maximizer's degree and tau, pi(s),
+    and the tau of its family's bottom, the previous point's maximizer.
+
+    The bottom's tau is the previous entry's tau, the same int object, so
+    holding it here costs nothing.
+    """
+
+    point: SPoint
+    degree: int
+    tau: int
+    pi_s: int
+    bottom_tau: int
+
+    def member(self, v: int) -> tuple[int, int]:
+        """Degree and tau of family member v, for 0 <= v <= pi(s).
+
+        The degree is degree - v*s.  The tau is taken from the bottom, so
+        its cost grows with the member rather than with the top: member v
+        raises j = pi(s) - v of the bottom's pi(s) degree-s exponents from
+        r-1 to r, so its tau is bottom_tau * (r+1)**j / r**j.  The division
+        is exact: each of those irreducibles contributes the factor
+        (r-1)+1 = r to the bottom's tau.  The walk checks this too, since
+        r**pi(s) divides bottom_tau * (r+1)**pi(s) = tau * r**pi(s), and r
+        is coprime to r+1.
+        """
+        r, j = self.point.r, self.pi_s - v
+        return self.degree - v * self.point.s, self.bottom_tau * (r + 1) ** j // r**j
+
+
+def families(q: int, max_degree: int) -> list[WalkEntry]:
+    """The grid walk: one WalkEntry per point in increasing order, up to
+    and including the first point whose superior degree exceeds
     max_degree.
 
     Markers, anchors and certificates all read this one list.  It holds
@@ -230,26 +263,31 @@ def families(q: int, max_degree: int) -> list[tuple[SPoint, tuple[SshcEntry, ...
        superior maximizer, and the empty product before (1, 1).  Between
        neighbouring grid points no exponent jumps, and at (s, r) only the
        degree-s exponent does, from r-1 to r, since no two grid points
-       share an x.  The walk re-checks degree and tau as it goes.
+       share an x.  The walk re-checks this as it goes: the bottom's
+       degree is deg(h) - s*pi(s), and its tau times (r+1)**pi(s) must
+       equal tau(h) * r**pi(s).
     2. Superior degrees therefore strictly increase along the grid: each
        exceeds its predecessor, its family's bottom, by s*pi(s).
 
     So family members lie between their family's bottom and top degree,
     and every family after the last lies at or above the last top, which
-    exceeds max_degree: every member of degree <= max_degree is listed.
-    For 1 <= N <= max_degree, the first point whose superior degree
-    reaches N is listed too, since the last one's does; by fact 2 a
-    bisection on the tops finds it.
+    exceeds max_degree: every member of degree <= max_degree belongs to a
+    listed family, and WalkEntry.member gives it by formula.  For
+    1 <= N <= max_degree, the first point whose superior degree reaches N
+    is listed too, since the last one's does; by fact 2 a bisection on
+    the tops finds it.
     """
     ensure_prime_power(q)
     walk = []
-    previous = (0, 1)  # degree and tau of the empty product
+    bottom = (0, 1)  # degree and tau of the empty product
     for point in iter_spoints():
-        family = sshc_family(point, q)
-        if (family[-1].degree, family[-1].tau) != previous:
-            raise AssertionError(f"family at {point} does not telescope to {previous}")
-        walk.append((point, family))
-        previous = (family[0].degree, family[0].tau)
-        if previous[0] > max_degree:
+        h = shc_pattern(point, q)
+        s, r = point.s, point.r
+        pi_s = count_irreducibles(q, s)
+        if (h.degree - s * pi_s, h.tau * r**pi_s) != (bottom[0], bottom[1] * (r + 1) ** pi_s):
+            raise AssertionError(f"family at {point} does not telescope to degree {bottom[0]}")
+        walk.append(WalkEntry(point, h.degree, h.tau, pi_s, bottom[1]))
+        bottom = (h.degree, h.tau)
+        if h.degree > max_degree:
             return walk
     raise AssertionError("unreachable: superior degrees are unbounded")

@@ -1,5 +1,9 @@
+import json
 import math
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -141,9 +145,9 @@ def test_not_too_sparse_family_far_past_tables(q):
     # bracket around it is at most log(4/3) wide; neither depends on T
     walk = families(q, 20000)
     for N in range(1, 20001):
-        point, _, _, u = _anchor(walk, N)
+        top, _, u = _anchor(walk, N)
         if u:
-            lower, upper = _bracket(point, u)
+            lower, upper = _bracket(top.point, u)
             assert LogBound(3 * upper.num, 4 * upper.den, 1, 1) <= lower, N
 
 
@@ -216,11 +220,69 @@ def test_verify_builds_table_when_missing(records_q2):
     assert certs == verify_T_bounds(2, 10, records_q2[:11])
 
 
-@pytest.mark.parametrize("q,max_degree", [(2, 1280), (3, 640)])
+@pytest.mark.parametrize("q,max_degree", [(2, 1280), (3, 1280)])
 def test_certificates_hold_far_out(q, max_degree):
+    """Every certificate holds far past the tables, and the family members
+    are exact witnesses of T.
+
+    The u = 0 degrees are exactly the members' degrees, and there a
+    certificate holds only if T equals the member's tau, a closed form
+    that shares nothing with the knapsack.  What this cannot catch is a
+    wrong T strictly between member degrees that stays inside the
+    log(4/3) bracket.
+    """
     certs = verify_T_bounds(q, max_degree)
     assert [c.N for c in certs] == list(range(1, max_degree + 1))
     assert all(c.ok for c in certs)
+    members = {
+        top.degree - v * top.point.s
+        for top in families(q, max_degree)
+        for v in range(top.pi_s + 1)
+    }
+    exact = [c for c in certs if c.u == 0]
+    assert {c.N for c in exact} == members & set(range(1, max_degree + 1))
+    assert all(c.T == c.anchor_tau for c in exact)
+
+
+def _limited(*args: str) -> subprocess.CompletedProcess:
+    """python3 args in a new process whose address space is capped at 2 GiB."""
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, preexec_fn=cap
+    )
+
+
+def test_certify_large_q_within_memory():
+    # the (2, 1) family over F_1009 has 508,536 members of about 510k bits
+    # each, about 32 GB if the walk held them
+    out = _limited("-m", "hcpoly.cli", "certify", "--q", "1009", "--max-degree", "2019")
+    assert (out.returncode, out.stderr) == (0, "")
+    certs = json.loads(out.stdout)["certificates"]
+    assert len(certs) == 2019
+    assert all(c["lower_ok"] and c["upper_ok"] and c["width_ok"] for c in certs)
+
+
+def test_anchor_memory_at_large_q():
+    # the anchor of N = 10,000 over F_1009 is the (2, 1) family's member
+    # v = 504,545, built from the family's bottom; measured in a capped
+    # process, so that a walk holding members fails instead of filling memory
+    code = """
+import tracemalloc
+from hcpoly.bounds import _anchor
+from hcpoly.superior import families
+tracemalloc.start()
+top, v, u = _anchor(families(1009, 10000), 10000)
+degree, _ = top.member(v)
+print(top.point.s, top.point.r, v, u, degree, tracemalloc.get_traced_memory()[1])
+"""
+    out = _limited("-c", code)
+    assert (out.returncode, out.stderr) == (0, "")
+    *anchor, peak = map(int, out.stdout.split())
+    assert anchor == [2, 1, 504_545, 0, 10_000]
+    assert peak < 4 * 2**20
 
 
 def test_verify_validation():

@@ -181,6 +181,7 @@ def test_degree_ceiling(capsys, monkeypatch, argv):
     for module, name in (
         (hc_engine, "_maxima"),
         (hc_engine, "hc_table"),
+        (hc_engine, "families"),
         (bounds, "_maxima"),
         (superior, "families"),
         (bounds, "families"),

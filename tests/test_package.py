@@ -32,11 +32,12 @@ def test_traced_names_are_exported(monkeypatch):
         assert name in hcpoly.__all__, name
 
 
-def _fresh(code: str) -> str:
-    """stdout of code run in a new interpreter that imports hcpoly from this tree."""
+def _fresh(code: str, *flags: str) -> str:
+    """stdout of code run in a new interpreter, started with flags, that
+    imports hcpoly from this tree."""
     src = str(Path(hcpoly.__file__).parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        [sys.executable, *flags, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
         capture_output=True,
         text=True,
         check=True,
@@ -56,6 +57,17 @@ def test_command_loads_only_its_layers():
     assert _fresh(code).split() == [
         "6", "hcpoly", "hcpoly.cli", "hcpoly.gf_poly", "hcpoly.irreducibles"
     ]
+
+
+def test_table_without_cache_loads_no_cache_modules():
+    # -S, because a site module may preload pathlib.  shutil is not checked:
+    # argparse imports it for the terminal width whenever an argument is added
+    code = """
+from hcpoly.cli import main
+main(['hc-table', '--q', '2', '--max-degree', '5'])
+print('loaded:', *sorted({'pathlib', 'tempfile'} & set(sys.modules)))
+"""
+    assert _fresh(code, "-S").splitlines()[-1] == "loaded:"
 
 
 def test_exports_are_their_home_objects():

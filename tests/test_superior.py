@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -5,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hcpoly import superior
-from hcpoly.bounds import locate_anchor
-from hcpoly.hc_engine import MARKER_NONE, hc_table
+from hcpoly.bounds import _certificate, locate_anchor
+from hcpoly.hc_engine import MARKER_NONE, _marker_degrees, hc_table
 from hcpoly.superior import (
     SPoint,
     enumerate_spoints,
     exponent_at,
+    families,
     iter_spoints,
     shc_pattern,
     spoint_compare,
@@ -157,6 +159,58 @@ def test_family_telescopes_to_predecessor():
         assert fam[-1].degree == prev_degree
         assert fam[-1].tau == prev_tau
         prev_degree, prev_tau = fam[0].degree, fam[0].tau
+
+
+def _listed_walk(q, max_degree):
+    """The walk as whole families: (point, sshc_family(point, q)) in
+    increasing order, up to the first superior degree above max_degree."""
+    walk = []
+    for point in iter_spoints():
+        family = sshc_family(point, q)
+        walk.append((point, family))
+        if family[0].degree > max_degree:
+            return walk
+
+
+@pytest.mark.parametrize(
+    "q,max_degree",
+    [(2, 640), (3, 640), (4, 300), (31, 160), (101, 200), (5, 3000), (2, 20000)],
+)
+def test_walk_matches_listed_families(q, max_degree):
+    # markers and anchors from one entry per point against the same read
+    # off every member that sshc_family steps out from the top
+    listed = _listed_walk(q, max_degree)
+    walk = families(q, max_degree)
+    assert [(e.point, e.degree, e.tau, e.pi_s, e.bottom_tau) for e in walk] == [
+        (point, family[0].degree, family[0].tau, len(family) - 1, family[-1].tau)
+        for point, family in listed
+    ]
+    shc = {f[0].degree for _, f in listed if f[0].degree <= max_degree}
+    sshc = {e.degree for _, f in listed for e in f[1:-1] if e.degree <= max_degree}
+    assert _marker_degrees(q, max_degree) == (shc, sshc)
+    tops = iter(listed)
+    point, family = next(tops)
+    for N in range(1, max_degree + 1):
+        while family[0].degree < N:
+            point, family = next(tops)
+        v, u = divmod(family[0].degree - N, point.s)
+        cert = _certificate(walk, N, 1)
+        assert (cert.point, cert.v, cert.u, cert.anchor_degree, cert.anchor_tau) == (
+            point, v, u, family[v].degree, family[v].tau
+        ), N
+
+
+def test_walk_memory_is_per_point():
+    # the 80 points up to degree 10**6 over F_2 have families of 59,259
+    # members in all, with taus of up to 58,911 bits
+    tracemalloc.start()
+    try:
+        walk = families(2, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(walk), sum(e.pi_s + 1 for e in walk)) == (80, 59_259)
+    assert peak < 4 * 2**20
 
 
 def sshc_certificate(point, q, deg_f, tau_f):
