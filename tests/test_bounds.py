@@ -220,7 +220,7 @@ def test_verify_builds_table_when_missing(records_q2):
     assert certs == verify_T_bounds(2, 10, records_q2[:11])
 
 
-@pytest.mark.parametrize("q,max_degree", [(2, 1280), (3, 1280)])
+@pytest.mark.parametrize("q,max_degree", [(2, 1280), (3, 640), (3, 1280)])
 def test_certificates_hold_far_out(q, max_degree):
     """Every certificate holds far past the tables, and the family members
     are exact witnesses of T.
