@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation error, exhausted memory or recursion
-depth, or an interrupt (single-line diagnostic on stderr), 2 a
+Exit codes: 0 success, 1 validation error, an OS error such as an unusable
+--cache directory, exhausted memory or recursion depth, or an interrupt
+(single-line diagnostic on stderr), 2 a
 verify/certify suite found a violation (first counterexample reported).
 A stdout closed by its reader ends the output quietly with exit code 1.
 All normal output goes to stdout; JSON output is a single document ending
@@ -9,6 +10,12 @@ in one newline, with big integers as decimal strings and keys sorted, in
 the layout of json.dumps(doc, indent=2, sort_keys=True), so
 re-serializing a parsed document is byte-identical.  _emit_json writes it
 as a stream, so a long listing is never held whole in memory.
+
+Every size the command line accepts, --q included, has one row in the
+size table, _LIMITS (with _Q_ROW), and main applies it right after
+parsing, so no layer is called with a size over its ceiling.  Only three
+computed sizes are checked by the commands themselves: hc-table's row
+count, and shc's pi(s) and superior degree.
 
 Each command imports the layers it runs when it runs, so importing this
 module loads no other hcpoly module.
@@ -22,7 +29,7 @@ import sys
 from functools import reduce
 from json.encoder import encode_basestring_ascii
 from math import log
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
     from .hc_engine import HCRecord
@@ -105,11 +112,6 @@ def _emit_json(doc) -> None:
     write("".join(parts))
 
 
-def _require_nonnegative(value: int, name: str) -> None:
-    if value < 0:
-        raise ValueError(f"--{name} must be nonnegative, got {value}")
-
-
 def _cmd_pi(args: argparse.Namespace) -> int:
     from .irreducibles import count_irreducibles
 
@@ -121,7 +123,6 @@ def _cmd_irreducibles(args: argparse.Namespace) -> int:
     from .gf_poly import format_poly, order_key
     from .irreducibles import enumerate_irreducibles
 
-    _require_nonnegative(args.max_degree, "max-degree")
     tbl = enumerate_irreducibles(args.q, args.max_degree)
     if args.format == "json":
         rows = (
@@ -144,7 +145,6 @@ def _cmd_irreducibles(args: argparse.Namespace) -> int:
 def _cmd_s_set(args: argparse.Namespace) -> int:
     from .superior import enumerate_spoints
 
-    _require_nonnegative(args.count, "count")
     points = enumerate_spoints(args.count)
     print(f"s\tr\tx_approx(q={args.q}, display only)")
     for point in points:
@@ -153,21 +153,9 @@ def _cmd_s_set(args: argparse.Namespace) -> int:
     return 0
 
 
-# shc prints the pi(s) + 1 members of the family, each with its tau and
-# multiplicity, so its output grows faster than pi(s)**2 digits: q=2 s=17
-# (pi = 7,710) prints 43 MB.  The ceiling admits that, and refuses q=101
-# s=3 (pi = 343,400), whose output would run to tens of GB.
-_SHC_MAX_FAMILY = 10_000
-# The superior degree bounds the bits of tau, since tau(f) <= 2**deg(f),
-# so with the pi(s) ceiling it bounds the output.  The ceiling admits q=2
-# s=17 r=1 (degree 262,900) and q=4 s=8 r=1 (degree 87,464), and refuses
-# q=2 s=1 r=200, whose tau is a product over about 2**132 irreducibles.
-_SHC_MAX_DEGREE = 300_000
-
-
 def _cmd_shc(args: argparse.Namespace) -> int:
     from .irreducibles import count_irreducibles
-    from .superior import SPoint, _exponents, shc_pattern, sshc_family
+    from .superior import SPoint, _exponents, sshc_family
 
     point = SPoint(args.s, args.r)
     pi_s = count_irreducibles(args.q, point.s)
@@ -176,20 +164,18 @@ def _cmd_shc(args: argparse.Namespace) -> int:
             f"the family at s={point.s} has pi(s) = {pi_s} members, "
             f"over the ceiling of {_SHC_MAX_FAMILY}"
         )
+    exponents = []
     degree = 0
     for k, a in enumerate(_exponents(point.s, point.r), 1):
+        exponents.append(a)
         degree += k * a * count_irreducibles(args.q, k)
         if degree > _SHC_MAX_DEGREE:
-            raise ValueError(
-                f"the superior maximizer at s={point.s} r={point.r} "
-                f"passes the degree ceiling of {_SHC_MAX_DEGREE}"
-            )
-    h = shc_pattern(point, args.q)
-    family = sshc_family(point, args.q)
+            raise ValueError(_SHC_OVER.format(s=point.s, r=point.r))
+    family = sshc_family(point, args.q)  # member v = 0 is the maximizer itself
     print(f"point: s={point.s} r={point.r}")
-    print(f"exponents: {list(h.exponents)}")
-    print(f"degree: {h.degree}")
-    print(f"tau: {h.tau}")
+    print(f"exponents: {exponents}")
+    print(f"degree: {family[0].degree}")
+    print(f"tau: {family[0].tau}")
     print(f"family (pi(s) = {pi_s}):")
     for entry in family:
         print(
@@ -197,10 +183,6 @@ def _cmd_shc(args: argparse.Namespace) -> int:
             f"multiplicity {entry.multiplicity}"
         )
     return 0
-
-
-def _cache_dir(args: argparse.Namespace) -> str | None:
-    return os.environ.get("HCPOLY_CACHE") or args.cache
 
 
 def _top_class_degree(records: list[HCRecord]) -> int:
@@ -212,11 +194,12 @@ def _cmd_hc_table(args: argparse.Namespace) -> int:
     from . import divisor_core, hc_engine
     from .irreducibles import enumerate_irreducibles
 
-    _require_nonnegative(args.max_degree, "max-degree")
-    records = hc_engine.hc_table(args.q, args.max_degree, cache_dir=_cache_dir(args))
-    need_rows = args.format == "table" or args.explicit
+    records = hc_engine.hc_table(args.q, args.max_degree, cache_dir=args.cache)
     tbl = None
-    if need_rows:
+    if args.format == "table" or args.explicit:
+        rows = sum(record.total_polynomials for record in records)
+        if rows > _MAX_ROWS:
+            raise ValueError(f"the table lists {rows} polynomials, over the ceiling of {_MAX_ROWS}")
         tbl = enumerate_irreducibles(args.q, _top_class_degree(records))
     if args.format == "json":
         def record_doc(record: HCRecord) -> dict:
@@ -248,22 +231,9 @@ def _cmd_hc_table(args: argparse.Namespace) -> int:
     return 0
 
 
-# The time of the class knapsack behind tmax and certify grows as about
-# N**2.3: at q=2 it took 4.1 s at N=5,000 and 20 s at N=10,000 on a 2-CPU
-# x86-64 host, so N=100,000 would run for hours.
-_MAX_DEGREE = 10_000
-
-
-def _require_degree(value: int, name: str) -> None:
-    _require_nonnegative(value, name)
-    if value > _MAX_DEGREE:
-        raise ValueError(f"--{name} {value} is over the ceiling of {_MAX_DEGREE}")
-
-
 def _cmd_tmax(args: argparse.Namespace) -> int:
     from . import bounds, hc_engine, superior
 
-    _require_degree(args.n, "n")
     T = hc_engine._maxima(args.q, args.n)[args.n]
     print(f"T({args.n}) = {T}")
     if not args.bounds:
@@ -293,9 +263,6 @@ def _cmd_tmax(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     from . import bounds
 
-    _require_degree(args.max_degree, "max-degree")
-    if args.max_degree < 1:
-        raise ValueError("--max-degree must be at least 1 for certification")
     certs = bounds.verify_T_bounds(args.q, args.max_degree)
     docs = (
         {
@@ -419,7 +386,6 @@ def _run_verify_checks(q: int, max_degree: int) -> tuple[list[tuple[str, bool, s
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _require_nonnegative(args.max_degree, "max-degree")
     checks, records = _run_verify_checks(args.q, args.max_degree)
     failed = [c for c in checks if not c[1]]
     if args.format == "json":
@@ -442,6 +408,123 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     print("all checks passed")
     return 0
+
+
+# The size table.  Every size the command line accepts has one row here,
+# and main applies the rows right after parsing, before anything is built:
+# first the --q row, then the prime-power check, then the command's rows,
+# all their floors before any ceiling.  The ceilings are set from times
+# measured one process at a time on a 2-CPU x86-64 host.
+
+# prime_power_base trial-divides up to sqrt(q), and every command that
+# walks the grid builds the (1, 1) maximizer, whose tau is 2**q.  At the
+# ceiling, hc-table --format json --max-degree 1 took 0.4 s and 28 MB, and
+# at q = 16,777,213 hc-table --format json --max-degree 400 took 9.5 s,
+# certify --max-degree 10000 7.0 s and verify --max-degree 50 2.7 s.  At
+# q = 4,294,967,291 hc-table --max-degree 400 took 78 s and 2.8 GB.
+_MAX_Q = 2**24
+# pi forms q**n and prints a number of about n*log2(q) bits, in time
+# quadratic in its digits: pi --q 2 --n 2097152 took 6.2 s and pi --q
+# 16777213 --n 87381 6.0 s.  shc forms pi(s) the same way, so its --s has
+# the same ceiling: shc --q 16777213 --s 87381 took 6.7 s to refuse its
+# family, and --s 300000 ran past 60 s.
+_MAX_POWER_BITS = 2**21
+# The sieve marks q**n keys at each degree n: irreducibles --q 2
+# --max-degree 20 took 8.0 s (21 took 15.2 s), and --q 1009 --max-degree 2
+# 5.4 s as text and 8.8 s as JSON.
+_MAX_SIEVE_BITS = 20
+# s-set compares ever larger powers: --count 30000 took 7.0 s, 40,000
+# 11.2 s, and 100,000 ran past 100 s.
+_MAX_SPOINTS = 30_000
+# The slot DP grows as about N**3, fastest at large q: --max-degree 400
+# took 3.3 s at q=2, 6.8 s at q=101, 7.7 s at q=1009 and 9.5 s (88 MB) at
+# q = 16,777,213.
+_MAX_TABLE_DEGREE = 400
+# The time of the class knapsack behind tmax and certify grows as about
+# N**2.3: at q=2 it took 4.1 s at N=5,000 and 20 s at N=10,000, so
+# N=100,000 would run for hours.
+_MAX_DEGREE = 10_000
+# verify's pattern oracle grows with q until q passes N: --max-degree 50
+# took 0.28 s at q=2 and q=3, 2.5 s (206 MB) at q=31, 2.6 s (209 MB) at
+# q=101 and 2.7 s at q = 16,777,213; at q=101, 60 took 15.9 s and 1.1 GB.
+_MAX_VERIFY_DEGREE = 50
+# The commands check the three sizes below themselves, since they are
+# computed: hc-table's row count, and shc's pi(s) and superior degree.
+# The text table and --explicit JSON realize one row per polynomial, the
+# sum of total_polynomials: hc-table --q 443 --max-degree 2 (98,347 rows)
+# took 5.0 s, and --q 1009 --max-degree 2 (509,546 rows) 33 s.
+_MAX_ROWS = 100_000
+# shc prints the pi(s) + 1 members of the family, each with its tau and
+# multiplicity, so its output grows faster than pi(s)**2 digits: q=2 s=17
+# (pi = 7,710) prints 43 MB.  The ceiling admits that, and refuses q=101
+# s=3 (pi = 343,400), whose output would run to tens of GB.
+_SHC_MAX_FAMILY = 10_000
+# The superior degree bounds the bits of tau, since tau(f) <= 2**deg(f),
+# so with the pi(s) ceiling it bounds the output.  The ceiling admits q=2
+# s=17 r=1 (degree 262,900) and q=4 s=8 r=1 (degree 87,464), and refuses
+# q=2 s=1 r=200, whose tau is a product over about 2**132 irreducibles.
+# The degree is at least s*r*pi(s), since the exponent on each of the
+# pi(s) irreducibles of degree s is r, so it also bounds --r, by s.
+_SHC_MAX_DEGREE = 300_000
+_SHC_OVER = f"the superior maximizer at s={{s}} r={{r}} passes the degree ceiling of {_SHC_MAX_DEGREE}"
+
+
+class _Row(NamedTuple):
+    """floors <= value <= ceiling for one option of a command.
+
+    Each floor pairs a bound with the line that refuses a value below it.
+    The ceiling is a number, or a function of the parsed arguments for a
+    size whose cost grows with another argument too.  The lines are
+    formatted with the parsed arguments, the option, its value and the
+    ceiling.
+    """
+
+    option: str
+    floors: tuple[tuple[int, str], ...]
+    ceiling: int | Callable[[argparse.Namespace], int]
+    above: str = "--{option} {value} is over the ceiling of {ceiling}"
+
+
+def _power_ceiling(bits: int) -> Callable[[argparse.Namespace], int]:
+    """The ceiling on n that keeps q**n within 2**bits, as q <= 2**(q-1).bit_length()."""
+    return lambda args: bits // (args.q - 1).bit_length()
+
+
+_NONNEGATIVE = ((0, "--{option} must be nonnegative, got {value}"),)
+_POSITIVE_DEGREE = ((1, "degree must be positive, got {value}"),)
+_CERTIFIABLE = _NONNEGATIVE + ((1, "--max-degree must be at least 1 for certification"),)
+_GRID_POINT = ((1, "grid point needs s, r >= 1, got ({s}, {r})"),)
+_OVER_AT_Q = "--{option} {value} is over the ceiling of {ceiling} for q={q}"
+
+_Q_ROW = _Row("q", (), _MAX_Q)
+_LIMITS = {
+    "pi": (_Row("n", _POSITIVE_DEGREE, _power_ceiling(_MAX_POWER_BITS), _OVER_AT_Q),),
+    "irreducibles": (_Row("max-degree", _NONNEGATIVE, _power_ceiling(_MAX_SIEVE_BITS), _OVER_AT_Q),),
+    "s-set": (_Row("count", _NONNEGATIVE, _MAX_SPOINTS),),
+    "shc": (
+        _Row("s", _GRID_POINT, _power_ceiling(_MAX_POWER_BITS), _OVER_AT_Q),
+        _Row("r", _GRID_POINT, lambda args: _SHC_MAX_DEGREE // args.s, _SHC_OVER),
+    ),
+    "hc-table": (_Row("max-degree", _NONNEGATIVE, _MAX_TABLE_DEGREE),),
+    "tmax": (_Row("n", _NONNEGATIVE, _MAX_DEGREE),),
+    "certify": (_Row("max-degree", _CERTIFIABLE, _MAX_DEGREE),),
+    "verify": (_Row("max-degree", _NONNEGATIVE, _MAX_VERIFY_DEGREE),),
+}
+
+
+def _check_sizes(args: argparse.Namespace, rows: tuple[_Row, ...]) -> None:
+    """Refuse the first value outside its row: every floor, then every ceiling."""
+    fields = vars(args)
+    values = [fields[row.option.replace("-", "_")] for row in rows]
+    for row, value in zip(rows, values):
+        for floor, line in row.floors:
+            if value < floor:
+                raise ValueError(line.format(option=row.option, value=value, **fields))
+    for row, value in zip(rows, values):
+        ceiling = row.ceiling(args) if callable(row.ceiling) else row.ceiling
+        if value > ceiling:
+            line = row.above.format(option=row.option, value=value, ceiling=ceiling, **fields)
+            raise ValueError(line)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -521,7 +604,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if digits is not None:
             sys.set_int_max_str_digits(0)
+        _check_sizes(args, (_Q_ROW,))
         ensure_prime_power(args.q)
+        _check_sizes(args, _LIMITS[args.command])
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return status
@@ -532,6 +617,9 @@ def main(argv: list[str] | None = None) -> int:
         # the reader has gone: the output ends here, and with stdout on
         # devnull the interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # after BrokenPipeError, which is one too
+        print(f"hcpoly: {exc}", file=sys.stderr)
         return 1
     except tuple(_FATAL) as exc:
         print(f"hcpoly: {_FATAL[type(exc)]}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -12,10 +13,10 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hcpoly import bounds, cli, divisor_core, hc_engine, superior
+from hcpoly import bounds, cli, divisor_core, hc_engine, irreducibles, superior
 from hcpoly.cli import main
 from hcpoly.irreducibles import count_irreducibles
 
@@ -250,18 +251,32 @@ def test_hc_table_cache_flag(tmp_path, capsys):
     assert code == 0 and second == first
 
 
-def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):
-    env_dir = tmp_path / "env"
-    flag_dir = tmp_path / "flag"
-    env_dir.mkdir()
-    flag_dir.mkdir()
-    monkeypatch.setenv("HCPOLY_CACHE", str(env_dir))
-    code, _, _ = run(
-        capsys, "hc-table", "--q", "2", "--max-degree", "7", "--cache", str(flag_dir)
+@pytest.mark.parametrize("explicit", [[], ["--format", "json", "--explicit"]])
+def test_hc_table_row_ceiling(capsys, monkeypatch, explicit):
+    def never(*args):
+        raise AssertionError("realized a refused table")
+
+    monkeypatch.setattr(divisor_core, "realize_polynomials", never)
+    monkeypatch.setattr(irreducibles, "enumerate_irreducibles", never)
+    code, out, err = run(capsys, "hc-table", "--q", "101", "--max-degree", "5", *explicit)
+    assert (code, out) == (1, "")
+    assert err == "hcpoly: the table lists 83463472 polynomials, over the ceiling of 100000\n"
+    monkeypatch.undo()
+    # the text table the benchmark prints stays admitted
+    assert sum(r.total_polynomials for r in hc_engine.hc_table(2, 160)) == 9116 <= cli._MAX_ROWS
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_unusable_cache_dir_one_line(tmp_path, capsys, under):
+    # a --cache that names a regular file, or a path under one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(
+        capsys, "hc-table", "--q", "2", "--max-degree", "5", "--cache", str(blocker / under)
     )
-    assert code == 0
-    assert (env_dir / "hc_table_q2_n7_v1.json").exists()
-    assert not list(flag_dir.iterdir())
+    assert (code, out) == (1, "")
+    assert err.startswith("hcpoly: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_hc_table_degree_zero_only(capsys):
@@ -552,6 +567,10 @@ _DIGESTS = {
         "a39afccb2886084f6542646f1ab7d2b312f58c83704046d9f7b46d2f11a5fc0e",
     "tmax --q 2 --n 320 --bounds":
         "242e00f6fbf497eb19f55c2cbd7dddb09490ecc8e2bc16756c1fe1ac42c8597b",
+    "shc --q 2 --s 3 --r 1":
+        "33025dea2466d16ef5a280f80240d671c1558aafa9db0aef1f25b226d4cfb773",
+    "shc --q 4 --s 3 --r 2":
+        "d34e2ecf7bdec4493e011d19039efa10e4b8afeea82fb8a47f1ebbe0c1847c1e",
 }
 
 
@@ -560,3 +579,205 @@ def test_output_digest(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[command]
+
+
+def test_every_size_option_has_one_row():
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(cli._LIMITS) == set(commands.choices)
+    for command, sub in commands.choices.items():
+        sizes = [a.dest for a in sub._actions if a.type is int and a.dest != "q"]
+        rows = [row.option.replace("-", "_") for row in cli._LIMITS[command]]
+        assert sorted(rows) == sorted(sizes), command
+    assert cli._Q_ROW.option == "q"
+
+
+class _Breach(Exception):
+    """A builder was reached with a size over its ceiling."""
+
+
+class _Admitted(Exception):
+    """A builder was reached within its ceiling, at a size too costly to build in a test."""
+
+
+def _bits(q: int) -> int:
+    return (q - 1).bit_length()  # q <= 2**_bits(q)
+
+
+def _pi_within(q, s):
+    return s * _bits(q) <= cli._MAX_POWER_BITS and count_irreducibles(q, s) <= cli._SHC_MAX_FAMILY
+
+
+_realized = [0]  # polynomials realized so far in one command line
+
+
+def _realize(p) -> int:
+    _realized[0] += divisor_core.realization_count(p)
+    return _realized[0]
+
+
+# (module, name, within its ceiling, cheap enough to build here), the last
+# two called with the builder's positional arguments; every builder also
+# needs q within the --q ceiling, where it takes one
+_BUILDERS = [
+    (irreducibles, "prime_power_base", lambda q: q <= cli._MAX_Q, lambda q: True),
+    (
+        irreducibles,
+        "count_irreducibles",
+        lambda q, n: q <= cli._MAX_Q and n * _bits(q) <= cli._MAX_POWER_BITS,
+        lambda q, n: n * _bits(q) <= 4096,
+    ),
+    (
+        irreducibles,
+        "enumerate_irreducibles",
+        lambda q, n: q <= cli._MAX_Q and n * _bits(q) <= cli._MAX_SIEVE_BITS,
+        lambda q, n: q**n <= 2**12,
+    ),
+    (superior, "enumerate_spoints", lambda count: count <= cli._MAX_SPOINTS, lambda count: count <= 500),
+    (superior, "_exponents", lambda s, r: s * r <= cli._SHC_MAX_DEGREE, lambda s, r: s <= 40 and r <= 10**4),
+    (
+        superior,
+        "shc_pattern",
+        lambda point, q: q <= cli._MAX_Q and point.s * point.r <= cli._SHC_MAX_DEGREE,
+        lambda point, q: q <= 1009,
+    ),
+    (
+        superior,
+        "sshc_family",
+        lambda point, q: q <= cli._MAX_Q and point.s * point.r <= cli._SHC_MAX_DEGREE and _pi_within(q, point.s),
+        lambda point, q: q <= 1009 and point.s * point.r <= 50 and count_irreducibles(q, point.s) <= 50,
+    ),
+    *(
+        (module, "families", lambda q, n: q <= cli._MAX_Q and n <= cli._MAX_DEGREE, lambda q, n: q <= 1009 and n <= 2000)
+        for module in (superior, hc_engine, bounds)
+    ),
+    *(
+        (module, "_maxima", lambda q, n: q <= cli._MAX_Q and n <= cli._MAX_DEGREE, lambda q, n: q <= 1009 and n <= 200)
+        for module in (hc_engine, bounds)
+    ),
+    (
+        hc_engine,
+        "hc_table",
+        lambda q, n: q <= cli._MAX_Q and n <= cli._MAX_TABLE_DEGREE,
+        lambda q, n: q <= 1009 and n <= 24,
+    ),
+    (
+        divisor_core,
+        "brute_force_T",
+        lambda q, n: q <= cli._MAX_Q and n <= cli._MAX_VERIFY_DEGREE,
+        lambda q, n: q <= 1009 and n <= 10,
+    ),
+    (divisor_core, "raw_polynomial_T", lambda q, n: q**n <= 2**14, lambda q, n: q**n <= 2**10),
+    (
+        divisor_core,
+        "realize_polynomials",
+        lambda p, tbl: _realize(p) <= cli._MAX_ROWS,
+        lambda p, tbl: _realized[0] <= 2000,
+    ),
+]
+
+
+def _stand_in(real, within, cheap, breaches):
+    def call(*args, **kwargs):
+        if not within(*args):
+            breaches.append((real.__name__, args))
+            raise _Breach(real.__name__, args)
+        if not cheap(*args):
+            raise _Admitted
+        return real(*args, **kwargs)
+
+    return call
+
+
+_CEILINGS = (
+    cli._MAX_DEGREE,
+    cli._MAX_TABLE_DEGREE,
+    cli._MAX_VERIFY_DEGREE,
+    cli._MAX_SPOINTS,
+    cli._MAX_POWER_BITS,
+    cli._MAX_SIEVE_BITS,
+    cli._SHC_MAX_DEGREE,
+    cli._SHC_MAX_FAMILY,
+)
+_SIZES = st.one_of(
+    st.integers(-3, 30),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from(_CEILINGS).flatmap(lambda c: st.sampled_from([c, c + 1])),
+).map(str)
+_FIELDS = st.sampled_from(
+    [
+        2, 3, 5, 31, 101, 1009, 16777213,  # primes, the last the largest under 2**24
+        4, 8, 9, 27, 2**24,  # prime powers
+        -7, 0, 1, 6, 12, 10**30,  # not prime powers
+        16777259, 2**31 - 1, 10**30 + 57, 2**61 - 1,  # primes over the --q ceiling
+    ]
+).map(str)
+_FORMATS = st.sampled_from([[], ["--format", "json"], ["--format", "table"]])
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(
+        lambda drawn: [command] + [x for part in drawn for x in (part if isinstance(part, list) else [part])]
+    )
+
+
+def _option(name, values):
+    return values.map(lambda v: [name, v])
+
+
+_ARGV = st.one_of(
+    _argv("pi", _option("--q", _FIELDS), _option("--n", _SIZES)),
+    _argv("irreducibles", _option("--q", _FIELDS), _option("--max-degree", _SIZES), _FORMATS),
+    _argv("s-set", _option("--count", _SIZES), st.one_of(st.just([]), _option("--q", _FIELDS))),
+    _argv("shc", _option("--q", _FIELDS), _option("--s", _SIZES), _option("--r", _SIZES)),
+    _argv(
+        "hc-table",
+        _option("--q", _FIELDS),
+        _option("--max-degree", _SIZES),
+        _FORMATS,
+        st.sampled_from([[], ["--explicit"]]),
+    ),
+    _argv("tmax", _option("--q", _FIELDS), _option("--n", _SIZES), st.sampled_from([[], ["--bounds"]])),
+    _argv("certify", _option("--q", _FIELDS), _option("--max-degree", _SIZES)),
+    _argv("verify", _option("--q", _FIELDS), _option("--max-degree", _SIZES), _FORMATS),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_ARGV)
+# each of these ran for minutes, or would have, before its row
+@example(["pi", "--q", "2", "--n", str(10**30)])
+@example(["pi", "--q", str(10**30 + 57), "--n", "1"])
+@example(["s-set", "--count", str(10**20)])
+@example(["shc", "--q", "2", "--s", str(10**30), "--r", "1"])
+@example(["shc", "--q", "101", "--s", "300000", "--r", "1"])
+@example(["shc", "--q", "2", "--s", "17", "--r", str(10**40)])
+@example(["hc-table", "--q", "101", "--max-degree", "5"])
+def test_every_size_is_bounded_before_anything_is_built(argv):
+    """Every command line ends with exit code 0, 1 or 2 and no traceback,
+    and no builder is reached with a size over the ceiling that the size
+    table and the commands' own checks promise it.  A builder reached
+    within its ceiling builds only when that is cheap; otherwise the run
+    stops there, since the guard has done its part."""
+    breaches = []
+    _realized[0] = 0
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name, within, cheap in _BUILDERS:
+            patch.setattr(module, name, _stand_in(getattr(module, name), within, cheap, breaches))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except _Admitted:
+                code = None
+            except _Breach:
+                code = "breach"
+    assert not breaches, (argv, breaches)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code is not None:
+        assert code in (0, 1, 2), (argv, code, err)
+        if code == 1:
+            assert err.count("\n") == 1 and err.startswith("hcpoly"), (argv, err)
