@@ -192,11 +192,16 @@ def _top_class_degree(records: list[HCRecord]) -> int:
 
 def _cmd_hc_table(args: argparse.Namespace) -> int:
     from . import divisor_core, hc_engine
+    from .gf_poly import is_prime
     from .irreducibles import enumerate_irreducibles
 
+    listed = args.format == "table" or args.explicit
+    if listed and not is_prime(args.q):
+        # the rows need enumerate_irreducibles, which takes only prime q
+        raise ValueError(f"explicit enumeration needs prime q, got {args.q}")
     records = hc_engine.hc_table(args.q, args.max_degree, cache_dir=args.cache)
     tbl = None
-    if args.format == "table" or args.explicit:
+    if listed:
         rows = sum(record.total_polynomials for record in records)
         if rows > _MAX_ROWS:
             raise ValueError(f"the table lists {rows} polynomials, over the ceiling of {_MAX_ROWS}")
@@ -451,9 +456,11 @@ _MAX_VERIFY_DEGREE = 50
 # The commands check the three sizes below themselves, since they are
 # computed: hc-table's row count, and shc's pi(s) and superior degree.
 # The text table and --explicit JSON realize one row per polynomial, the
-# sum of total_polynomials: hc-table --q 443 --max-degree 2 (98,347 rows)
-# took 5.0 s, and --q 1009 --max-degree 2 (509,546 rows) 33 s.
-_MAX_ROWS = 100_000
+# sum of total_polynomials, at a cost that follows the row's factors: as
+# text and as JSON, hc-table --q 2 --max-degree 186 (469,901 rows of 28
+# factors) took 5.0-6.3 s and 5.1-5.8 s at 50 MB, and --q 997 --max-degree
+# 2 (497,504 rows) 2.0 s and 1.4 s at 134 MB.
+_MAX_ROWS = 500_000
 # shc prints the pi(s) + 1 members of the family, each with its tau and
 # multiplicity, so its output grows faster than pi(s)**2 digits: q=2 s=17
 # (pi = 7,710) prints 43 MB.  The ceiling admits that, and refuses q=101

@@ -8,7 +8,8 @@ used.  tau, degree, and the number of monic polynomials realizing a pattern
 are all cheap integer formulas on this shape, which is what makes
 exhaustive search over patterns feasible far beyond the raw search over
 q**n polynomials.  None of these formulas, nor the canonical pattern
-order, pads a class to its full irreducible count.
+order, nor the realization of a pattern's polynomials, pads a class to
+its full irreducible count.
 
 Two oracles are provided for cross-checking the dynamic-programming engine:
 brute_force_T enumerates patterns (optionally pruned by the exponent
@@ -112,23 +113,24 @@ def realization_count(p: ExponentPattern) -> int:
     return total
 
 
-def _multiset_perms_desc(vec: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of vec in descending lexicographic order."""
-    current = sorted(vec, reverse=True)
-    n = len(current)
-    while True:
-        yield tuple(current)
-        # classic next-permutation, mirrored for descending order
-        i = n - 2
-        while i >= 0 and current[i] <= current[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while current[j] >= current[i]:
-            j -= 1
-        current[i], current[j] = current[j], current[i]
-        current[i + 1 :] = reversed(current[i + 1 :])
+def _placements(
+    exponents: tuple[int, ...], first: int, stop: int, placed: tuple[tuple[int, int], ...] = ()
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every way to put exponents on distinct indices in range(first, stop).
+
+    Yields placed + the (index, exponent) pairs in ascending index, in
+    descending lexicographic order of the zero-padded vector on those
+    indices.  exponents is non-increasing.
+    """
+    if not exponents:
+        yield placed
+        return
+    for index in range(first, stop - len(exponents) + 1):
+        for i, value in enumerate(exponents):
+            if i and exponents[i - 1] == value:
+                continue  # each distinct value once, largest first
+            rest = exponents[:i] + exponents[i + 1 :]
+            yield from _placements(rest, index + 1, stop, placed + ((index, value),))
 
 
 def realize_polynomials(
@@ -138,30 +140,32 @@ def realize_polynomials(
 
     Prime indices are 1-based positions in tbl's global order.  Forms are
     emitted grouped by the assignment on the highest degree class first,
-    each class's assignments in descending lexicographic order, which is
-    the row order of the explicit tables.  The result has exactly
-    realization_count(p) entries.
+    each class's assignments in descending lexicographic order of its
+    zero-padded exponent vector, which is the row order of the explicit
+    tables.  The result has exactly realization_count(p) entries.
     Pairs come out in ascending prime index unsorted: slot j of class k
     has index degree_offsets[k] + 1 + j, and classes are joined by k.
+
+    A class's assignments are its placements (_placements): each slot for
+    the first used one, earliest first, then each exponent there, largest
+    first, then the placements of the rest on the later slots.  That is the
+    descending order of the padded vectors, by induction on the exponents:
+    two placements with different first used slots first differ at the
+    earlier one, where the other has 0; with the same first slot, at that
+    slot when its exponents differ, the larger first; otherwise in the
+    placements of the rest.  Every slot tried leaves room for the exponents
+    still to place, so each step ends in at least one form, and a form
+    costs its used slots, not pi(k).
     """
     if tbl.q != p.q:
         raise ValueError(f"table is over F_{tbl.q}, pattern over F_{p.q}")
     top = max((k for k, _ in p.classes), default=0)
     if top > tbl.max_degree:
         raise ValueError(f"table depth {tbl.max_degree} insufficient for class degree {top}")
-    # each assignment is kept as its (prime index, exponent) pairs with a
-    # nonzero exponent, shared by every form that uses it: a class can have
-    # many more irreducibles than used slots
-    per_class: list[list[tuple[tuple[int, int], ...]]] = []
-    for class_degree, exponents in p.classes:
-        base = tbl.degree_offsets[class_degree] + 1
-        vec = exponents + (0,) * (count_irreducibles(p.q, class_degree) - len(exponents))
-        per_class.append(
-            [
-                tuple((base + slot, e) for slot, e in enumerate(perm) if e)
-                for perm in _multiset_perms_desc(vec)
-            ]
-        )
+    per_class = [
+        list(_placements(exponents, tbl.degree_offsets[k] + 1, tbl.degree_offsets[k + 1] + 1))
+        for k, exponents in p.classes
+    ]
     # product varies its last factor fastest: the highest class, first here
     return [
         tuple(pair for assignment in reversed(choice) for pair in assignment)

@@ -260,10 +260,26 @@ def test_hc_table_row_ceiling(capsys, monkeypatch, explicit):
     monkeypatch.setattr(irreducibles, "enumerate_irreducibles", never)
     code, out, err = run(capsys, "hc-table", "--q", "101", "--max-degree", "5", *explicit)
     assert (code, out) == (1, "")
-    assert err == "hcpoly: the table lists 83463472 polynomials, over the ceiling of 100000\n"
+    assert err == "hcpoly: the table lists 83463472 polynomials, over the ceiling of 500000\n"
     monkeypatch.undo()
     # the text table the benchmark prints stays admitted
     assert sum(r.total_polynomials for r in hc_engine.hc_table(2, 160)) == 9116 <= cli._MAX_ROWS
+
+
+@pytest.mark.parametrize("listed", [[], ["--format", "json", "--explicit"]])
+def test_hc_table_rows_refuse_non_prime_q_before_the_table(capsys, monkeypatch, listed):
+    def never(*args, **kwargs):
+        raise AssertionError("built a table whose rows are refused")
+
+    monkeypatch.setattr(hc_engine, "hc_table", never)
+    code, out, err = run(capsys, "hc-table", "--q", "4", "--max-degree", "3", *listed)
+    assert (code, out) == (1, "")
+    assert err == "hcpoly: explicit enumeration needs prime q, got 4\n"
+    monkeypatch.undo()
+    # the records alone need no irreducibles
+    code, out, err = run(capsys, "hc-table", "--q", "4", "--max-degree", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["records"][3]["tau"] == "8"
 
 
 @pytest.mark.parametrize("under", ["", "sub"])
@@ -571,6 +587,12 @@ _DIGESTS = {
         "33025dea2466d16ef5a280f80240d671c1558aafa9db0aef1f25b226d4cfb773",
     "shc --q 4 --s 3 --r 2":
         "d34e2ecf7bdec4493e011d19039efa10e4b8afeea82fb8a47f1ebbe0c1847c1e",
+    # rows whose classes leave most slots unused, pinned from the
+    # padded-permutation realization
+    "hc-table --q 31 --max-degree 4":
+        "4fd5e8512d4647134df49bf7ba68f79969043b9293a03ce9247953d989eb9722",
+    "hc-table --format json --q 31 --max-degree 3 --explicit":
+        "608c898c81c34c0d2232a75bfaa63a95801f6a0ab4b8d6807df531d87c5eeb75",
 }
 
 

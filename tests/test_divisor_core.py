@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hcpoly.divisor_core import (
@@ -20,6 +21,7 @@ from hcpoly.divisor_core import (
     realize_polynomials,
 )
 from hcpoly.gf_poly import PolyFq, order_key, poly_mul
+from hcpoly.irreducibles import count_irreducibles, enumerate_irreducibles
 
 
 def build_poly(form, tbl):
@@ -97,6 +99,58 @@ def test_realize_counts_match(tbl_q2, records_q2):
             forms = realize_polynomials(p, tbl_q2)
             assert len(forms) == realization_count(p)
             assert len(set(forms)) == len(forms)
+
+
+# every class degree whose pi(k) <= 8 keeps the padded permutations small
+_SMALL_CLASSES = {2: (1, 2, 3, 4, 5), 3: (1, 2, 3), 5: (1,)}
+_SMALL_TABLES = {q: enumerate_irreducibles(q, max(ks)) for q, ks in _SMALL_CLASSES.items()}
+
+
+@st.composite
+def _general_patterns(draw):
+    """Patterns of up to 3 classes with exponents 1..4, any class partly used."""
+    q = draw(st.sampled_from(sorted(_SMALL_CLASSES)))
+    degrees = draw(st.sets(st.sampled_from(_SMALL_CLASSES[q]), min_size=1, max_size=3))
+    classes = {
+        k: draw(st.lists(st.integers(1, 4), min_size=1, max_size=count_irreducibles(q, k)))
+        for k in degrees
+    }
+    return pattern(q, classes)
+
+
+def _padded_rows(p):
+    """Rows by the definition: per class, the distinct permutations of the
+    zero-padded exponent vector, descending; the highest class varies slowest."""
+    per_class = []
+    for k, exponents in reversed(p.classes):
+        padded = exponents + (0,) * (count_irreducibles(p.q, k) - len(exponents))
+        first = 1 + sum(count_irreducibles(p.q, j) for j in range(1, k))
+        per_class.append(
+            [
+                tuple((first + slot, e) for slot, e in enumerate(vec) if e)
+                for vec in sorted(set(itertools.permutations(padded)), reverse=True)
+            ]
+        )
+    return [
+        tuple(pair for assignment in reversed(choice) for pair in assignment)
+        for choice in itertools.product(*per_class)
+    ]
+
+
+@settings(derandomize=True, deadline=None)
+@given(_general_patterns())
+def test_realize_matches_padded_permutations(p):
+    assume(realization_count(p) <= 3000)
+    tbl = _SMALL_TABLES[p.q]
+    forms = realize_polynomials(p, tbl)
+    assert forms == _padded_rows(p)
+    assert len(set(forms)) == len(forms) == realization_count(p)
+    for form in forms:
+        assert [index for index, _ in form] == sorted(index for index, _ in form)
+        regrouped = {}
+        for index, e in form:
+            regrouped.setdefault(tbl.prime(index).degree, []).append(e)
+        assert pattern(p.q, regrouped) == p
 
 
 def test_realize_depth_error(tbl_q2):
